@@ -77,12 +77,23 @@ class UsageError(Exception):
 # ---------------------------------------------------------------------------
 # subcommand implementations
 
+def _check_codes(fld, option, codes):
+    """Element codes of fld lie in [0, q^m)."""
+    for c in codes:
+        if not 0 <= c < fld.order:
+            raise GuardError(f"{option} value {c} is not an element code of "
+                             f"{fld!r}: codes lie in [0, {fld.order})")
+    return codes
+
+
 def cmd_skew_eval(args):
     fld = _field_from_args(args)
     from . import skew
+    _check_codes(fld, "--beta", [args.beta])
+    coeffs = _check_codes(fld, "--coeffs", _parse_ints(args.coeffs))
+    points = _check_codes(fld, "--points", _parse_ints(args.points))
     ring = skew.SkewRing(fld, args.theta, args.beta)
-    poly = ring.poly(_parse_ints(args.coeffs))
-    points = _parse_ints(args.points)
+    poly = ring.poly(coeffs)
     values = {str(a): poly.evaluate(a) for a in points}
     _emit(args, {"field": repr(fld), "values": values})
 

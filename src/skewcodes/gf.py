@@ -1,17 +1,23 @@
 """Exact arithmetic in GF(q) and GF(q^m) plus generic exact linear algebra.
 
-Fields are built as towers F_p -> F_q=F_{p^e} -> F_{q^m}.  Moduli are the
-lexicographically smallest irreducible polynomials (ordered by the integer
-encoding of their low-order coefficients) and the primitive element gamma is
-the smallest element of full multiplicative order, so field tables are
-reproducible across runs.  Fields up to 2^20 elements carry full log/antilog
-tables; larger fields fall back to polynomial-vector arithmetic.
+Fields are towers F_p -> F_q=F_{p^e} -> F_{q^m} of one class, Field: the
+prime field GF(p) is the bottom level, and every other level is a Field
+over the level below.  Each level's modulus is the lexicographically
+smallest monic irreducible polynomial of its degree over the level below
+(ordered by the integer encoding of its low-order coefficients, and found
+by Rabin's test), so a degree-1 level has modulus x.  The primitive element
+gamma is the smallest element of full multiplicative order, so field tables
+are reproducible across runs.  Fields up to 2^20 elements carry full
+log/antilog tables; larger fields fall back to polynomial arithmetic over
+the level below.
 
 Element codes are plain ints: an element sum(c_i * z^i) with c_i in F_q is
 encoded as sum(code(c_i) * q^i), and a base-field element sum(b_j * x^j) with
-b_j in F_p as sum(b_j * p^j).  Base-field codes double as the embedded copy
-of F_q inside F_{q^m} (constant polynomials), so the subfield embedding is
-the identity on codes.
+b_j in F_p as sum(b_j * p^j).  So the base-p digits of a code are its
+F_p-coordinates at every level, and addition is digit-wise mod p (XOR in
+characteristic 2).  Base-field codes double as the embedded copy of F_q
+inside F_{q^m} (constant polynomials), so the subfield embedding is the
+identity on codes.
 """
 
 import itertools
@@ -63,318 +69,109 @@ def next_prime_power(n):
 
 
 # ---------------------------------------------------------------------------
-# dense polynomials over F_p (coefficient tuples, used only to build fields)
+# dense polynomials over a Field (lists of codes, low degree first), used only
+# to build fields and for arithmetic in fields without tables
 
-def _fp_poly_trim(c):
-    while c and c[-1] == 0:
-        c = c[:-1]
-    return c
-
-
-def _fp_poly_mulmod(a, b, mod, p):
-    res = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                res[i + j] = (res[i + j] + ai * bj) % p
-    return _fp_poly_rem(res, mod, p)
-
-
-def _fp_poly_rem(a, mod, p):
-    a = list(a)
-    dm = len(mod) - 1
-    inv_lead = pow(mod[-1], p - 2, p)
-    while len(a) > dm:
-        c = a[-1] % p
-        if c:
-            f = (c * inv_lead) % p
-            shift = len(a) - 1 - dm
-            for i, mi in enumerate(mod):
-                a[shift + i] = (a[shift + i] - f * mi) % p
+def _poly_trim(a):
+    while a and a[-1] == 0:
         a.pop()
-    return tuple(_fp_poly_trim(tuple(a)))
-
-
-def _fp_poly_powmod(a, n, mod, p):
-    result = (1,)
-    a = _fp_poly_rem(a, mod, p)
-    while n:
-        if n & 1:
-            result = _fp_poly_mulmod(result, a, mod, p)
-        a = _fp_poly_mulmod(a, a, mod, p)
-        n >>= 1
-    return result
-
-
-def _fp_poly_gcd(a, b, p):
-    a, b = tuple(_fp_poly_trim(a)), tuple(_fp_poly_trim(b))
-    while b:
-        a, b = b, _fp_poly_mod_full(a, b, p)
     return a
 
 
-def _fp_poly_mod_full(a, b, p):
+def _poly_sub(F, a, b):
+    return _poly_trim([F.sub(x, y)
+                       for x, y in itertools.zip_longest(a, b, fillvalue=0)])
+
+
+def _poly_rem(F, a, mod):
     a = list(a)
-    db = len(b) - 1
-    inv_lead = pow(b[-1], p - 2, p)
-    while len(a) - 1 >= db and a:
-        c = a[-1] % p
+    dm = len(mod) - 1
+    inv_lead = F.inv(mod[-1])
+    while len(a) > dm:
+        c = a.pop()
         if c:
-            f = (c * inv_lead) % p
-            shift = len(a) - 1 - db
-            for i, bi in enumerate(b):
-                a[shift + i] = (a[shift + i] - f * bi) % p
-        a.pop()
-    return tuple(_fp_poly_trim(tuple(a)))
+            f = F.mul(c, inv_lead)
+            shift = len(a) - dm
+            for i in range(dm):
+                a[shift + i] = F.sub(a[shift + i], F.mul(f, mod[i]))
+    return _poly_trim(a)
 
 
-def _fp_irreducible(f, p):
-    """Rabin irreducibility test for a monic f over F_p."""
-    d = len(f) - 1
-    x = (0, 1)
-    xq = _fp_poly_powmod(x, p ** d, f, p)
-    # x^(p^d) == x mod f
-    if _fp_poly_trim(tuple((xi - yi) % p for xi, yi in
-                           itertools.zip_longest(xq, x, fillvalue=0))):
-        return False
-    for r in factorize(d):
-        xr = _fp_poly_powmod(x, p ** (d // r), f, p)
-        diff = tuple((xi - yi) % p for xi, yi in
-                     itertools.zip_longest(xr, x, fillvalue=0))
-        if len(_fp_poly_gcd(diff, f, p)) != 1:
-            return False
-    return True
-
-
-def smallest_irreducible_fp(p, degree):
-    """Lexicographically smallest monic irreducible of given degree over F_p.
-
-    Ordering: integer encoding sum(c_i * p^i) of the non-leading coefficients.
-    """
-    if degree == 1:
-        return (0, 1)  # x itself
-    for code in range(p ** degree):
-        coeffs = []
-        c = code
-        for _ in range(degree):
-            coeffs.append(c % p)
-            c //= p
-        f = tuple(coeffs) + (1,)
-        if _fp_irreducible(f, p):
-            return f
-    raise RuntimeError("no irreducible polynomial found")  # unreachable
-
-
-# ---------------------------------------------------------------------------
-# base field GF(p^e), always table-backed
-
-class PrimePowerField:
-    """GF(p^e) with full exp/log tables; element codes in [0, p^e)."""
-
-    def __init__(self, p, e):
-        if not is_prime(p):
-            raise ValueError(f"p = {p} is not prime")
-        if e < 1:
-            raise ValueError("extension degree must be >= 1")
-        self.p = p
-        self.e = e
-        self.order = p ** e
-        if self.order > TABLE_LIMIT:
-            raise ValueError("base field too large for tables")
-        self.modulus = smallest_irreducible_fp(p, e)
-        self._build_tables()
-
-    def _code_to_poly(self, code):
-        c, out = code, []
-        for _ in range(self.e):
-            out.append(c % self.p)
-            c //= self.p
-        return tuple(out)
-
-    def _poly_to_code(self, poly):
-        code = 0
-        for c in reversed(poly):
-            code = code * self.p + c
-        return code
-
-    def _raw_mul(self, x, y):
-        a, b = self._code_to_poly(x), self._code_to_poly(y)
-        return self._poly_to_code(_fp_poly_mulmod(a, b, self.modulus, self.p)
-                                  + (0,) * self.e)
-
-    def _build_tables(self):
-        q = self.order
-        factors = list(factorize(q - 1)) if q > 2 else []
-        gamma = None
-        for cand in range(2, q):
-            if all(self._pow_raw(cand, (q - 1) // r) != 1 for r in factors):
-                gamma = cand
-                break
-        if gamma is None:
-            gamma = 1  # q == 2
-        self.gamma = gamma
-        exp = [0] * (q - 1)
-        log = [0] * q
-        x = 1
-        for i in range(q - 1):
-            exp[i] = x
-            log[x] = i
-            x = self._raw_mul(x, gamma)
-        self.exp = exp
-        self.log = log
-        if self.p != 2:
-            self._add = [[self._poly_to_code(tuple((a + b) % self.p for a, b in
-                                                   zip(self._code_to_poly(x),
-                                                       self._code_to_poly(y))))
-                          for y in range(q)] for x in range(q)]
-
-    def _pow_raw(self, x, n):
-        r = 1
-        while n:
-            if n & 1:
-                r = self._raw_mul(r, x)
-            x = self._raw_mul(x, x)
-            n >>= 1
-        return r
-
-    def add(self, x, y):
-        if self.p == 2:
-            return x ^ y
-        return self._add[x][y]
-
-    def neg(self, x):
-        if self.p == 2:
-            return x
-        return self._poly_to_code(tuple((-c) % self.p
-                                        for c in self._code_to_poly(x)))
-
-    def sub(self, x, y):
-        return self.add(x, self.neg(y))
-
-    def mul(self, x, y):
-        if x == 0 or y == 0:
-            return 0
-        return self.exp[(self.log[x] + self.log[y]) % (self.order - 1)]
-
-    def inv(self, x):
-        if x == 0:
-            raise ZeroDivisionError("inversion of zero")
-        return self.exp[(-self.log[x]) % (self.order - 1)]
-
-    def div(self, x, y):
-        return self.mul(x, self.inv(y))
-
-    def power(self, x, n):
-        if x == 0:
-            if n == 0:
-                return 1
-            if n < 0:
-                raise ZeroDivisionError("negative power of zero")
-            return 0
-        return self.exp[(self.log[x] * n) % (self.order - 1)]
-
-    def elements(self):
-        return range(self.order)
-
-
-# ---------------------------------------------------------------------------
-# polynomials over a PrimePowerField (digit lists), used to build the top field
-
-def _fq_trim(c):
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _fq_mulmod(base, a, b, mod):
+def _poly_mulmod(F, a, b, mod):
     if not a or not b:
         return []
     res = [0] * (len(a) + len(b) - 1)
-    mul, add = base.mul, base.add
+    mul, add = F.mul, F.add
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
                 if bj:
                     res[i + j] = add(res[i + j], mul(ai, bj))
-    return _fq_rem(base, res, mod)
+    return _poly_rem(F, res, mod)
 
 
-def _fq_rem(base, a, mod):
-    a = list(a)
-    dm = len(mod) - 1
-    inv_lead = base.inv(mod[-1])
-    while len(a) > dm:
-        c = a[-1]
-        if c:
-            f = base.mul(c, inv_lead)
-            shift = len(a) - 1 - dm
-            for i, mi in enumerate(mod):
-                a[shift + i] = base.sub(a[shift + i], base.mul(f, mi))
-        a.pop()
-    return _fq_trim(a)
-
-
-def _fq_powmod(base, a, n, mod):
+def _poly_powmod(F, a, n, mod):
     result = [1]
-    a = _fq_rem(base, list(a), mod)
+    a = _poly_rem(F, a, mod)
     while n:
         if n & 1:
-            result = _fq_mulmod(base, result, a, mod)
-        a = _fq_mulmod(base, a, a, mod)
+            result = _poly_mulmod(F, result, a, mod)
+        a = _poly_mulmod(F, a, a, mod)
         n >>= 1
     return result
 
 
-def _fq_gcd(base, a, b):
-    a, b = _fq_trim(list(a)), _fq_trim(list(b))
+def _poly_gcd(F, a, b):
+    a, b = _poly_trim(list(a)), _poly_trim(list(b))
     while b:
-        a, b = b, _fq_rem_full(base, a, b)
+        a, b = b, _poly_rem(F, a, b)
     return a
 
 
-def _fq_rem_full(base, a, b):
-    a = list(a)
-    db = len(b) - 1
-    inv_lead = base.inv(b[-1])
-    while a and len(a) - 1 >= db:
-        c = a[-1]
-        if c:
-            f = base.mul(c, inv_lead)
-            shift = len(a) - 1 - db
-            for i, bi in enumerate(b):
-                a[shift + i] = base.sub(a[shift + i], base.mul(f, bi))
-        a.pop()
-    return _fq_trim(a)
-
-
-def _fq_irreducible(base, f):
-    m = len(f) - 1
-    q = base.order
-    x = [0, 1]
-    xq = _fq_powmod(base, x, q ** m, f)
-    diff = [base.sub(a, b) for a, b in itertools.zip_longest(xq, x, fillvalue=0)]
-    if _fq_trim(diff):
+def _irreducible(F, f):
+    """Rabin's test for a monic f of degree d over F, with |F| = q:
+    x^(q^d) = x mod f, and gcd(x^(q^(d/r)) - x, f) = 1 for each prime r | d.
+    """
+    d = len(f) - 1
+    x = _poly_rem(F, [0, 1], f)
+    if _poly_sub(F, _poly_powmod(F, x, F.order ** d, f), x):
         return False
-    for r in factorize(m):
-        xr = _fq_powmod(base, x, q ** (m // r), f)
-        diff = [base.sub(a, b)
-                for a, b in itertools.zip_longest(xr, x, fillvalue=0)]
-        if len(_fq_gcd(base, diff, list(f))) != 1:
+    for r in factorize(d):
+        diff = _poly_sub(F, _poly_powmod(F, x, F.order ** (d // r), f), x)
+        if len(_poly_gcd(F, diff, f)) != 1:
             return False
     return True
 
 
+def _digits(code, b, n):
+    """The n base-b digits of code, lowest first."""
+    out = []
+    for _ in range(n):
+        code, d = divmod(code, b)
+        out.append(d)
+    return out
+
+
+def _undigits(digits, b):
+    code = 0
+    for d in reversed(digits):
+        code = code * b + d
+    return code
+
+
 # ---------------------------------------------------------------------------
-# the extension field GF(q^m)
+# the field tower F_p -> F_q -> F_{q^m}
 
 _FIELD_CACHE = {}
 
 
 def field(p, e, m):
-    """Cached ExtensionField constructor."""
+    """Cached GF(q^m) over GF(q) = GF(p^e) over GF(p)."""
     key = (p, e, m)
     if key not in _FIELD_CACHE:
-        _FIELD_CACHE[key] = ExtensionField(p, e, m)
+        prime = Field(p)
+        base = prime if e == 1 else Field(p, e, prime)
+        _FIELD_CACHE[key] = Field(p, m, base)
     return _FIELD_CACHE[key]
 
 
@@ -386,81 +183,69 @@ def field_q(q, m):
     return field(pe[0], pe[1], m)
 
 
-class ExtensionField:
-    """GF(q^m) over GF(q) = GF(p^e), with Frobenius sigma(a) = a^q.
+class Field:
+    """GF(q^m) as a degree-m extension of the Field `base` = GF(q).
 
-    The fixed F_q-basis is the polynomial basis (1, z, ..., z^(m-1)) of the
-    top modulus, so F_q-coordinates of an element are exactly its digits.
+    With base None this is the prime field GF(p), the bottom of the tower,
+    with q = p and m = 1.  Otherwise the modulus is the smallest monic
+    irreducible of degree m over base, and the fixed F_q-basis is the
+    polynomial basis (1, z, ..., z^(m-1)), so the F_q-coordinates of an
+    element are its base-q digits.  The Frobenius is sigma(a) = a^q.
     """
 
-    def __init__(self, p, e, m):
-        if m < 1:
-            raise ValueError("m must be >= 1")
-        self.base = PrimePowerField(p, e)
+    def __init__(self, p, m=1, base=None):
+        if base is None and not is_prime(p):
+            raise ValueError(f"p = {p} is not prime")
+        if m < 1 or base is None and m != 1:
+            raise ValueError(f"bad extension degree m = {m}")
         self.p = p
-        self.e = e
         self.m = m
-        self.q = self.base.order
-        self.order = self.q ** m
-        self.base_modulus = self.base.modulus
-        if m == 1:
-            self.top_modulus = (self.base.neg(self.base.gamma), 1)
-        else:
-            self.top_modulus = self._find_top_modulus()
-        self._mod_digits = list(self.top_modulus)
+        self.base = base
+        self.q = base.order if base else p
+        self.e = base.dim if base else 1
+        self.dim = self.e * m          # the dimension over F_p
+        self.order = p ** self.dim
         self.has_tables = self.order <= TABLE_LIMIT
-        self._fast_gf2 = (p == 2 and e == 1)
-        if self._fast_gf2:
-            self._gf2_mod = sum(c << i for i, c in enumerate(self.top_modulus))
+        self._gf2 = base is not None and base.order == 2
+        self.modulus = self._find_modulus() if base else None
+        if self._gf2:
+            self._gf2_mod = _undigits(self.modulus, 2)
         self.gamma = self._find_gamma()
         if self.has_tables:
             self._build_tables()
-        self.basis = tuple(self.q ** i for i in range(m)) if m > 1 else (1,)
+        self.basis = tuple(self.q ** i for i in range(m))
 
     # -- construction helpers ------------------------------------------------
 
-    def _find_top_modulus(self):
-        m, q = self.m, self.q
-        for code in range(q ** m):
-            digits = self._digits_raw(code)
-            f = tuple(digits) + (1,)
-            if _fq_irreducible(self.base, f):
-                return f
+    def _find_modulus(self):
+        for code in range(self.q ** self.m):
+            f = _digits(code, self.q, self.m) + [1]
+            if _irreducible(self.base, f):
+                return tuple(f)
         raise RuntimeError("no irreducible polynomial found")  # unreachable
 
-    def _digits_raw(self, code):
-        out, c = [], code
-        for _ in range(self.m):
-            out.append(c % self.q)
-            c //= self.q
-        return out
-
-    def _from_digits_raw(self, digits):
-        code = 0
-        for d in reversed(digits):
-            code = code * self.q + d
-        return code
-
     def _poly_mul(self, x, y):
-        if self.m == 1:
-            return self.base.mul(x, y)
-        if self._fast_gf2:
+        """Product of two codes without tables."""
+        if self.base is None:
+            return x * y % self.p
+        if self._gf2:
+            # carry-less product, reduced by the degree-m GF(2) modulus
             r = 0
             while y:
                 if y & 1:
                     r ^= x
                 x <<= 1
                 y >>= 1
-            # reduce modulo the degree-m GF(2) modulus
             mod, m = self._gf2_mod, self.m
             top = r.bit_length() - 1
             while top >= m:
                 r ^= mod << (top - m)
                 top = r.bit_length() - 1
             return r
-        a, b = self._digits_raw(x), self._digits_raw(y)
-        prod = _fq_mulmod(self.base, a, b, self._mod_digits)
-        return self._from_digits_raw(prod + [0] * (self.m - len(prod)))
+        q, m = self.q, self.m
+        prod = _poly_mulmod(self.base, _digits(x, q, m), _digits(y, q, m),
+                            self.modulus)
+        return _undigits(prod, q)
 
     def _poly_pow(self, x, n):
         r = 1
@@ -480,35 +265,26 @@ class ExtensionField:
         return 1  # order == 2
 
     def _build_tables(self):
-        n1 = self.order - 1
+        # Multiplication by gamma is F_p-linear and codes are F_p-coordinates,
+        # so each step combines the images of the unit codes p^j.
+        n1, p, dim = self.order - 1, self.p, self.dim
         exp = [0] * n1
         log = [0] * self.order
-        # multiplication by gamma is F_p-linear; precompute basis images
-        dim = self.e * self.m
-        if self.p == 2:
-            # packed codes are F_2 vectors: combine images over set bits
-            images = [self._poly_mul(1 << j, self.gamma)
-                      for j in range(dim)]
-            x = 1
+        x = 1
+        if p == 2:
+            images = [self._poly_mul(1 << j, self.gamma) for j in range(dim)]
             for i in range(n1):
                 exp[i] = x
                 log[x] = i
-                y, nxt = x, 0
+                y, x = x, 0
                 while y:
                     low = y & -y
-                    nxt ^= images[low.bit_length() - 1]
+                    x ^= images[low.bit_length() - 1]
                     y ^= low
-                x = nxt
         else:
-            images = []
-            for j in range(dim):
-                unit = self._from_fp_vec([1 if i == j else 0
-                                          for i in range(dim)])
-                images.append(self._to_fp_vec(self._poly_mul(unit,
-                                                             self.gamma)))
-            x = 1
-            p = self.p
-            vec = self._to_fp_vec(1)
+            images = [_digits(self._poly_mul(p ** j, self.gamma), p, dim)
+                      for j in range(dim)]
+            vec = _digits(1, p, dim)
             for i in range(n1):
                 exp[i] = x
                 log[x] = i
@@ -517,50 +293,41 @@ class ExtensionField:
                     if c:
                         img = images[j]
                         for t in range(dim):
-                            a = acc[t] + c * img[t]
-                            acc[t] = a % p
-                x = self._from_fp_vec(acc)
+                            acc[t] = (acc[t] + c * img[t]) % p
                 vec = acc
+                x = _undigits(acc, p)
         self.exp = exp
         self.log = log
-
-    def _to_fp_vec(self, code):
-        out = []
-        for d in self._digits_raw(code):
-            c = d
-            for _ in range(self.e):
-                out.append(c % self.p)
-                c //= self.p
-        return out
-
-    def _from_fp_vec(self, vec):
-        digits = []
-        for i in range(self.m):
-            chunk = vec[i * self.e:(i + 1) * self.e]
-            c = 0
-            for b in reversed(chunk):
-                c = c * self.p + b
-            digits.append(c)
-        return self._from_digits_raw(digits)
 
     # -- arithmetic on codes ---------------------------------------------------
 
     def add(self, x, y):
+        """x + y: XOR in characteristic 2, else digit-wise mod p."""
         if self.p == 2:
             return x ^ y
-        if self.m == 1:
-            return self.base.add(x, y)
-        xd, yd = self._digits_raw(x), self._digits_raw(y)
-        return self._from_digits_raw([self.base.add(a, b)
-                                      for a, b in zip(xd, yd)])
+        p = self.p
+        if self.dim == 1:          # GF(p): one digit, and the loop costs 2x
+            return (x + y) % p
+        out, scale = 0, 1
+        for _ in range(self.dim):
+            out += (x % p + y % p) % p * scale
+            x //= p
+            y //= p
+            scale *= p
+        return out
 
     def neg(self, x):
         if self.p == 2:
             return x
-        if self.m == 1:
-            return self.base.neg(x)
-        return self._from_digits_raw([self.base.neg(d)
-                                      for d in self._digits_raw(x)])
+        p = self.p
+        if self.dim == 1:
+            return -x % p
+        out, scale = 0, 1
+        for _ in range(self.dim):
+            out += -x % p * scale
+            x //= p
+            scale *= p
+        return out
 
     def sub(self, x, y):
         return self.add(x, self.neg(y))
@@ -615,10 +382,7 @@ class ExtensionField:
 
     def coords(self, x):
         """F_q-coordinates of x in the polynomial basis (a tuple of m codes)."""
-        return tuple(self._digits_raw(x))
-
-    def from_coords(self, digits):
-        return self._from_digits_raw(list(digits))
+        return tuple(_digits(x, self.q, self.m))
 
     def dlog(self, x):
         """Discrete log base gamma (table fields only)."""
@@ -627,9 +391,6 @@ class ExtensionField:
         if not self.has_tables:
             raise NotImplementedError("no tables for this field size")
         return self.log[x]
-
-    def gamma_pow(self, i):
-        return self.power(self.gamma, i)
 
     def elements(self):
         return range(self.order)
@@ -646,9 +407,6 @@ class ExtensionField:
             x = self.mul(x, eta)
         return sorted(out)
 
-    def random_element(self, rng):
-        return rng.randrange(self.order)
-
     def random_nonzero(self, rng):
         return 1 + rng.randrange(self.order - 1)
 
@@ -656,7 +414,7 @@ class ExtensionField:
         return Element(self, code)
 
     def __repr__(self):
-        return f"GF({self.p}^{self.e * self.m})[q={self.q},m={self.m}]"
+        return f"GF({self.p}^{self.dim})[q={self.q},m={self.m}]"
 
 
 class Element:

@@ -21,6 +21,22 @@ def test_skew_eval_paper_example(tmp_path):
     assert payload["values"]["2"] == 3
 
 
+def test_skew_eval_rejects_out_of_range_codes(capsys):
+    # GF(9) codes lie in [0, 9); -1 used to index the log table from the end
+    # and print 6, and 100 used to exit 3 with "list index out of range"
+    for option, value in (("--points", "-1"), ("--points", "100"),
+                          ("--coeffs", "1 9"), ("--beta", "-1")):
+        args = {"--coeffs": "1 1", "--points": "2", "--beta": "0"}
+        args[option] = value
+        argv = ["skew-eval", "--q", "9", "--m", "1"]
+        for key, val in args.items():
+            argv += [key, val]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert option in err
+        assert value.split()[-1] in err
+
+
 def test_lrs_gen_json_and_csv(tmp_path):
     out = tmp_path / "gen.csv"
     code = cli.main(["--format", "csv", "--out", str(out), "lrs-gen",

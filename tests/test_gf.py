@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -169,18 +170,24 @@ def test_base_embedding_is_subfield():
 
 
 def test_no_table_field_matches_table_field():
-    # force the polynomial-arithmetic path on a small field and cross-check
-    small = gf.ExtensionField(2, 1, 4)
-    poly = gf.ExtensionField(2, 1, 4)
-    poly.has_tables = False
+    # force the polynomial-arithmetic path on small fields and cross-check,
+    # in characteristic 2 and in odd characteristic over one and two levels
     rng = random.Random(5)
-    for _ in range(300):
-        a = rng.randrange(16)
-        b = rng.randrange(16)
-        assert small.mul(a, b) == poly.mul(a, b)
-        if a:
-            assert small.inv(a) == poly.inv(a)
-            assert small.frob(a, 3) == poly.frob(a, 3)
+    for p, e, m in ((2, 1, 4), (3, 1, 4), (3, 2, 2)):
+        small = gf.field(p, e, m)
+        poly = gf.Field(p, m, small.base)
+        poly.has_tables = False
+        for _ in range(300):
+            a = rng.randrange(small.order)
+            b = rng.randrange(small.order)
+            assert small.mul(a, b) == poly.mul(a, b)
+            assert small.add(a, b) == poly.add(a, b)
+            assert small.sub(a, b) == poly.sub(a, b)
+            assert small.neg(a) == poly.neg(a)
+            if a:
+                assert small.inv(a) == poly.inv(a)
+                assert small.frob(a, 3) == poly.frob(a, 3)
+                assert small.power(a, 7) == poly.power(a, 7)
 
 
 def test_big_field_no_tables_basic():
@@ -201,3 +208,69 @@ def test_element_wrapper_ops():
     assert (a ** (F16.order - 1)).code == 1
     with pytest.raises(ValueError):
         _ = a + F9.element(1)
+
+
+# SHA-256 digests of the field tables, recorded before the field classes
+# were merged into one tower class; moduli and gamma must never drift.
+def _digest(*parts):
+    text = ";".join(str(x) if isinstance(x, int) else ",".join(map(str, x))
+                    for x in parts)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+PINNED_TABLES = {
+    (2, 1, 1): "ef0790289da7fc699224a2e9994cbbf0"
+               "1d9975b32ff72e05c6d321dad182d45b",
+    (2, 1, 8): "2cb4b404c7aea671f24a6e6d9e8bc030"
+               "79b6d34c2c521c330f880650e589c829",
+    (2, 2, 3): "5bf9403c7a25a6a117f2d03398548872"
+               "0852c155a0ccac90a51e1aee590662da",
+    (2, 3, 2): "24615e479ba98cf588ff9d1f61976429"
+               "1664210595b1f24cba5855dc6e85df23",
+    (3, 1, 1): "84088705d209b37e8ac313b7c1503599"
+               "a9a9cd3cc6b380b042a892ed666199a0",
+    (3, 1, 4): "0f51538037cc827dd8bf3272db3214f0"
+               "c236865e537dcedbe04472cde3366bed",
+    (3, 2, 2): "40aa603f896b9aea7a4f1d601814d9a1"
+               "b852cbc727e3235efc038e9c653ee7da",
+    (5, 2, 1): "1a229d0f880fd09593dacba7f372f8a7"
+               "f46def838b67d1d50987c45398f62b0e",
+    (7, 2, 2): "550b8fe0f66010e8cdf38858402aa969"
+               "0937064715ca5966efd5bd8a203dfcb7",
+    (11, 1, 1): "bab36833730ff537fb89caa0bba36fec"
+                "f2adb4ceabea3e1382fe0087ac9c350b",
+    (13, 1, 2): "2b7d70c0c31dbc7f072022dde38a4730"
+                "23a0cf110386cdf0900842cebb10a2c1",
+}
+
+PINNED_NO_TABLES = {
+    (2, 1, 33): (3, "0a25af871f38867dac32f1e1aa3115a2"
+                    "18b24ca8a5d036498dc6b911178bcf84"),
+    (7, 1, 11): (9, "abaf3d5bb9294647828851d1fdf8b761"
+                    "45ee4ea482db553eb2938e41021f4d8d"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(PINNED_TABLES))
+def test_tables_pinned(key):
+    fld = gf.field(*key)
+    base = fld.base
+    assert _digest(fld.gamma, fld.exp, fld.log,
+                   base.gamma, base.exp, base.log) == PINNED_TABLES[key]
+
+
+@pytest.mark.parametrize("key", sorted(PINNED_NO_TABLES))
+def test_no_table_arithmetic_pinned(key):
+    fld = gf.field(*key)
+    assert not fld.has_tables
+    rng = random.Random(2024)
+    pairs = [(rng.randrange(1, fld.order), rng.randrange(1, fld.order))
+             for _ in range(8)]
+    out = []
+    for a, b in pairs:
+        out += [fld.mul(a, b), fld.inv(a), fld.frob(a, 1),
+                fld.frob(b, fld.m - 1)]
+    base = fld.base
+    gamma, digest = PINNED_NO_TABLES[key]
+    assert fld.gamma == gamma
+    assert _digest(fld.gamma, out, base.gamma, base.exp, base.log) == digest
