@@ -7,6 +7,7 @@ L(n,1) = n-1 and L(n,2) = 1 + 2(n-2)(2n-6).
 """
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -50,15 +51,7 @@ def _rs_codewords(field, n, k):
         basis = [[1 if i == j else 0 for j in range(length)]
                  for i in range(length)]
     assert len(basis) == dim
-    words = []
-    for msg in itertools.product(field.elements(), repeat=dim):
-        word = [0] * length
-        for c, vec in zip(msg, basis):
-            if c:
-                for j, g in enumerate(vec):
-                    word[j] = field.add(word[j], field.mul(c, g))
-        words.append(word)
-    return words
+    return list(gf.span(field, basis))
 
 
 def construct(n, k, q):
@@ -98,42 +91,12 @@ def verify_spread(family):
     return True
 
 
-def _span_membership_table(family):
-    """For each pair (i, j), the set of vectors in S_i + S_j as codes."""
-    field = family.field
-    n, k = family.n, family.k
-    q = field.order
-
-    def vec_code(vec):
-        code = 0
-        for x in reversed(vec):
-            code = code * q + x
-        return code
-
-    spans = {}
-    for i, gi in enumerate(family.generators):
-        for j, gj in enumerate(family.generators):
-            if i == j:
-                continue
-            members = set()
-            rows = gi + gj
-            for coeff in itertools.product(field.elements(), repeat=2 * k):
-                vec = [0] * n
-                for c, row in zip(coeff, rows):
-                    if c:
-                        for idx, g in enumerate(row):
-                            vec[idx] = field.add(vec[idx],
-                                                 field.mul(c, g))
-                members.add(vec_code(vec))
-            spans[(i, j)] = members
-    return spans, vec_code
-
-
 def verify_aad(family, l_bound, mode="exhaustive", samples=2000, rng=None):
     """(u + S_i) meets at most l_bound other subspaces, for all (i, u).
 
     The affine coset u + S_i intersects S_j iff u lies in S_i + S_j, so the
-    check is a membership count over the pairwise span tables.
+    exhaustive check counts, for each i, how many sets S_i + S_j (j != i)
+    hold each u outside S_i; a u in none of them has count 0.
     """
     field = family.field
     n, k = family.n, family.k
@@ -149,26 +112,20 @@ def verify_aad(family, l_bound, mode="exhaustive", samples=2000, rng=None):
     if mode == "exhaustive":
         if q ** n > EXHAUSTIVE_GUARD:
             raise ValueError("exhaustive guard exceeded (q^n > 2^22)")
-        spans, vec_code = _span_membership_table(family)
-        own = {}
-        for i, gi in enumerate(family.generators):
-            members = set()
-            for coeff in itertools.product(field.elements(), repeat=k):
-                vec = [0] * n
-                for c, row in zip(coeff, gi):
-                    if c:
-                        for idx, g in enumerate(row):
-                            vec[idx] = field.add(vec[idx], field.mul(c, g))
-                members.add(vec_code(vec))
-            own[i] = members
+        gens = family.generators
+
+        def members(rows):
+            return set(map(tuple, gf.span(field, rows)))
+
+        own = [members(g) for g in gens]
+        sums = {}
+        for i, j in itertools.combinations(range(family.size), 2):
+            sums[i, j] = sums[j, i] = members(gens[i] + gens[j])
         for i in range(family.size):
-            for u_code in range(q ** n):
-                if u_code in own[i]:
-                    continue
-                count = sum(1 for j in range(family.size)
-                            if j != i and u_code in spans[(i, j)])
-                if count > l_bound:
-                    return False
+            hits = Counter(u for j in range(family.size) if j != i
+                           for u in sums[i, j] - own[i])
+            if max(hits.values(), default=0) > l_bound:
+                return False
         return True
     if mode == "sample":
         if rng is None:

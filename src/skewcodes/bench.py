@@ -157,9 +157,19 @@ def _fmt(x):
     return format(float(x), ".12g")
 
 
-def emit_curves(config, t_range=None, with_sim=True):
+def csv_row(t, bounds, sim=None):
+    """One CSV line: t, the six bounds in CSV_HEADER order, then Sim.
+
+    A bound that does not apply (None) and a missing sim give empty cells.
+    """
+    cells = [str(t)] + ["" if bounds[name] is None else _fmt(bounds[name])
+                        for name in ilbounds.BOUND_NAMES]
+    cells.append("" if sim is None else _fmt(sim))
+    return ",".join(cells)
+
+
+def emit_curves(config, t_range=None):
     """One CSV row per t with all applicable bounds and the simulated rate."""
-    spec = config.spec
     if t_range is None:
         tmax = ildec.t_max_radius(config.d, config.s)
         t_range = range(1, tmax + 3)
@@ -170,13 +180,5 @@ def emit_curves(config, t_range=None, with_sim=True):
                                       n=config.n, d=config.d, s=config.s,
                                       t=t)
         vals = ilbounds.all_bounds(inputs)
-        cells = [str(t)]
-        for name in ("L.RS", "L.A", "L.A1", "L.A2", "L.T", "U"):
-            v = vals[name]
-            cells.append("" if v is None else _fmt(v))
-        if with_sim:
-            cells.append(_fmt(mc_psuc(config, t).estimate))
-        else:
-            cells.append("")
-        buf.write(",".join(cells) + "\n")
+        buf.write(csv_row(t, vals, mc_psuc(config, t).estimate) + "\n")
     return buf.getvalue()

@@ -204,11 +204,7 @@ def cmd_il_bounds(args):
         vals = ilbounds.all_bounds(inputs)
         rows.append({"t": t, **{k: (None if v is None else float(v))
                                 for k, v in vals.items()}})
-        cells = [str(t)] + ["" if vals[n] is None else
-                            format(float(vals[n]), ".12g")
-                            for n in ("L.RS", "L.A", "L.A1", "L.A2",
-                                      "L.T", "U")] + [""]
-        lines.append(",".join(cells))
+        lines.append(bench.csv_row(t, vals))
     _emit(args, {"bounds": rows}, "\n".join(lines) + "\n")
 
 

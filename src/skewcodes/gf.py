@@ -531,6 +531,33 @@ def mat_vec(field, a, v):
     return out
 
 
+def span(field, rows, offset=None):
+    """Yield offset + c_1*rows[0] + ... + c_k*rows[k-1] for every message.
+
+    Messages (c_1, ..., c_k) come in itertools.product(field.elements(),
+    repeat=k) order, so c_k varies fastest; offset None means the zero word.
+    Every multiple c*row is computed once and the word of each message
+    prefix is kept, so each word costs one vector addition.  rows and offset
+    are never mutated, and every yielded word is a new list that the caller
+    may keep or change.  With no rows the only word is a copy of offset
+    (empty when offset is None).
+    """
+    add = field.add
+    multiples = [[[field.mul(c, g) for g in row] for c in field.elements()]
+                 for row in rows]
+
+    def extend(word, i):
+        if i == len(multiples):
+            yield word
+            return
+        for mult in multiples[i]:
+            yield from extend([add(a, b) for a, b in zip(word, mult)], i + 1)
+
+    if offset is None:
+        offset = [0] * (len(rows[0]) if rows else 0)
+    return extend(list(offset), 0)
+
+
 def rref(field, rows):
     """Reduced row echelon form; returns (new_rows, pivot_columns)."""
     rows = [list(r) for r in rows]

@@ -136,7 +136,7 @@ def _solve_key_equation(field, syns, t):
     return "unique", x
 
 
-def joint_decode(rows, spec, collect_reason=True):
+def joint_decode(rows, spec):
     """Algorithm: zero syndromes return R; else scan minimal solvable t*."""
     field = spec.field
     s = len(rows)

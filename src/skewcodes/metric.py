@@ -4,7 +4,6 @@ Bound values are carried as exact integers/rationals together with a log10
 float view, since q^(mn) overflows doubles at the scales of interest.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -80,27 +79,27 @@ def distance(field, u, v, metric=HAMMING, partition=None):
 
 def min_distance_bruteforce(field, generator_rows, metric=HAMMING,
                             partition=None):
-    """Minimum weight over all nonzero codewords (the code is linear)."""
+    """Minimum weight over the codewords of all nonzero messages.
+
+    Dependent rows encode some nonzero message as the zero word, so the
+    result is then 0.  Otherwise only projective messages (first nonzero
+    entry 1) are enumerated: every metric here is invariant under nonzero
+    scalars, since multiplying by a in F_{q^m}^* is an F_q-linear bijection
+    and keeps each block's rank.
+    """
     k = len(generator_rows)
     if field.order ** k > BRUTEFORCE_GUARD:
         raise ValueError("brute-force guard exceeded (q^(mk) > 2^24)")
-    n = len(generator_rows[0])
+    if gf.rank(field, generator_rows) < k:
+        return 0
     best = None
-    add, mul = field.add, field.mul
-    for msg in itertools.product(field.elements(), repeat=k):
-        if not any(msg):
-            continue
-        word = [0] * n
-        for c, row in zip(msg, generator_rows):
-            if c:
-                for j, g in enumerate(row):
-                    if g:
-                        word[j] = add(word[j], mul(c, g))
-        w = weight(field, word, metric, partition)
-        if best is None or w < best:
-            best = w
-            if best == 1:
-                break
+    for i, lead in enumerate(generator_rows):
+        for word in gf.span(field, generator_rows[i + 1:], offset=lead):
+            w = weight(field, word, metric, partition)
+            if best is None or w < best:
+                best = w
+                if best == 1:
+                    return best
     return best
 
 
@@ -150,7 +149,7 @@ def sumrank_ball(partition, m, radius, q):
         raise ValueError("ball guard exceeded (ell * s > 40)")
     total = 0
     for s in range(radius + 1):
-        for comp in _compositions(s, partition.ell):
+        for comp in compositions(s, partition.ell):
             term = 1
             for ni, si in zip(partition.parts, comp):
                 if si > ni:
@@ -161,25 +160,14 @@ def sumrank_ball(partition, m, radius, q):
     return total
 
 
-def _compositions(s, parts):
+def compositions(s, parts):
+    """Ordered tuples of `parts` nonnegative integers summing to s."""
     if parts == 1:
         yield (s,)
         return
     for first in range(s + 1):
-        for rest in _compositions(s - first, parts - 1):
+        for rest in compositions(s - first, parts - 1):
             yield (first,) + rest
-
-
-def ball_size(metric, radius, n, q, m=1, partition=None):
-    if metric == HAMMING:
-        return hamming_ball(n, radius, q)
-    if metric == RANK:
-        return rank_ball(n, m, radius, q)
-    if metric == SUMRANK:
-        if partition is None:
-            raise ValueError("sum-rank ball needs a partition")
-        return sumrank_ball(partition, m, radius, q)
-    raise ValueError(f"unknown metric {metric!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +179,8 @@ def classical_bounds(metric, n, d, q, m=1, partition=None):
     Sphere-packing upper-bounds and GV lower-bounds the maximum cardinality
     of a code of minimum distance d in the given metric.
     """
+    if gf.prime_power(q) is None:
+        raise ValueError(f"q = {q} is not a prime power")
     if not 1 <= d <= n:
         raise ValueError("need 1 <= d <= n")
     t = (d - 1) // 2
@@ -207,6 +197,9 @@ def classical_bounds(metric, n, d, q, m=1, partition=None):
     elif metric == SUMRANK:
         if partition is None:
             raise ValueError("sum-rank bounds need a partition")
+        if partition.n != n:
+            raise ValueError(f"partition {list(partition.parts)} sums to "
+                             f"{partition.n}, not n = {n}")
         singleton = Fraction(q ** (m * (n - d + 1)))
         # the ball enumeration guard may rule out the packing bounds
         sphere = gv = None

@@ -199,16 +199,20 @@ def best_bounds(params):
 # ---------------------------------------------------------------------------
 # (q, t) feasibility thresholds
 
-def qt_necessary_log2(params, t):
-    """log2 of the threshold on q^t below which no (q,t)-solution exists."""
+def _necessary_ratio(params):
+    """The ratio that q^(t l (eps t + 1)) must reach for a (q,t)-solution."""
     p = params
     if p.h >= 2 * p.ell + p.eps:
-        ratio = Fraction(p.r + p.theta - p.alpha) / (GAMMA * p.theta)
-    else:
-        ratio = Fraction(p.r) / (GAMMA * (p.alpha - 1))
+        return Fraction(p.r + p.theta - p.alpha) / (GAMMA * p.theta)
+    return Fraction(p.r) / (GAMMA * (p.alpha - 1))
+
+
+def qt_necessary_log2(params, t):
+    """log2 of the threshold on q^t below which no (q,t)-solution exists."""
+    ratio = _necessary_ratio(params)
     if ratio <= 0:
         return float("-inf")
-    return _log2_fraction(ratio) / (p.ell * (p.eps * t + 1))
+    return _log2_fraction(ratio) / (params.ell * (params.eps * t + 1))
 
 
 def qt_sufficient_log2(params, t):
@@ -231,14 +235,10 @@ def qt_conditions(params, t_max):
 
 def _necessary_holds(params, q, t):
     """Exact check of q^t >= ratio^(1/(l(eps t + 1))) via cross powers."""
-    p = params
-    if p.h >= 2 * p.ell + p.eps:
-        ratio = Fraction(p.r + p.theta - p.alpha) / (GAMMA * p.theta)
-    else:
-        ratio = Fraction(p.r) / (GAMMA * (p.alpha - 1))
+    ratio = _necessary_ratio(params)
     if ratio <= 1:
         return True
-    power = p.ell * (p.eps * t + 1)
+    power = params.ell * (params.eps * t + 1)
     return Fraction(q) ** (t * power) >= ratio
 
 

@@ -11,11 +11,10 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from . import gf
+from . import gf, metric
 
 LAMBDA1 = 2 + math.sqrt(2)
 LAMBDA2 = 2 - math.sqrt(2)
-MU = math.log2(2 + math.sqrt(2))
 
 # closed-form coefficients of |S_0| for r = 1 and r = 3 (exact surd forms
 # (2 +- sqrt2)/4 and (4 +- sqrt2)/4)
@@ -205,11 +204,6 @@ def bad_star_bounds(params):
     return lo, hi
 
 
-def asymptotic_rate_defect_exponent():
-    """The QLRS rate is 1 - Theta((q/r)^(mu - 2)) with mu = log2(2+sqrt 2)."""
-    return MU - 2
-
-
 # ---------------------------------------------------------------------------
 # the code as a block code of length q^2
 
@@ -260,26 +254,10 @@ def distance_bounds(params):
 
 
 def min_distance_bruteforce(params):
-    """Enumerate the full code (guard: q^dimension manageable)."""
+    """Minimum Hamming distance by enumeration (metric.BRUTEFORCE_GUARD)."""
     field = gf.field(2, params.ell, 1)
-    monos = good_monomials(params)
-    k = len(monos)
-    if field.order ** k > 1 << 24:
-        raise ValueError("code too large to enumerate")
-    rows = _monomial_evaluations(field, monos)
-    best = None
-    for msg in itertools.product(field.elements(), repeat=k):
-        if not any(msg):
-            continue
-        word = [0] * params.q ** 2
-        for c, row in zip(msg, rows):
-            if c:
-                for jdx, g in enumerate(row):
-                    word[jdx] = field.add(word[jdx], field.mul(c, g))
-        w = sum(1 for x in word if x)
-        if best is None or w < best:
-            best = w
-    return best
+    rows = _monomial_evaluations(field, good_monomials(params))
+    return metric.min_distance_bruteforce(field, rows)
 
 
 # ---------------------------------------------------------------------------

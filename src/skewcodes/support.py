@@ -12,7 +12,7 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from . import gf, lrs, skew
+from . import gf, lrs, metric, skew
 
 
 @dataclass
@@ -425,21 +425,12 @@ def exhaustive_min_total(instance):
     s = instance.s
     cap = max(rhs for _, rhs, _, _ in rows)
     for total in range(0, s * cap + 1):
-        for comp in _compositions(total, s):
+        for comp in metric.compositions(total, s):
             ok = all(sum(comp[i] for i in touch) >= rhs
                      for touch, rhs, _, _ in rows)
             if ok:
                 return total
     return None
-
-
-def _compositions(total, parts):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
 
 
 def split_blocks(n, ell):

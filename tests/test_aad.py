@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -55,11 +56,40 @@ def test_sampled_mode_agrees():
 
 def test_negative_control_random_family_can_violate_small_l():
     # a spread that is not the construction can exceed a tiny L
-    field = gf.field(5, 1, 1)
-    gens = [[[1, 0, x, y]] for x in range(5) for y in range(5)]
-    fam = aad.AadFamily(field, 4, 1, gens)
+    fam = _negative_control_family()
     assert aad.verify_spread(fam)
     assert not aad.verify_aad(fam, 1)
+
+
+def _negative_control_family():
+    field = gf.field(5, 1, 1)
+    gens = [[[1, 0, x, y]] for x in range(5) for y in range(5)]
+    return aad.AadFamily(field, 4, 1, gens)
+
+
+def _smallest_l_by_rank(family):
+    """Largest count, over i and u outside S_i, of the j != i with
+    (u + S_i) meeting S_j, decided by rank tests as in sample mode."""
+    field, k = family.field, family.k
+    worst = 0
+    for i, gi in enumerate(family.generators):
+        for u in itertools.product(field.elements(), repeat=family.n):
+            if gf.rank(field, gi + [list(u)]) == k:
+                continue
+            count = sum(1 for j, gj in enumerate(family.generators)
+                        if j != i and gf.rank(field, gi + gj + [list(u)])
+                        == 2 * k)
+            worst = max(worst, count)
+    return worst
+
+
+@pytest.mark.parametrize("family", [aad.construct(4, 1, 5),
+                                    _negative_control_family()],
+                         ids=["construct-4-1-5", "negative-control"])
+def test_exhaustive_agrees_with_rank_oracle(family):
+    smallest = _smallest_l_by_rank(family)
+    for l_bound in range(smallest + 1):
+        assert aad.verify_aad(family, l_bound) == (l_bound == smallest)
 
 
 def test_construction_size_vs_upper_bound_grid():

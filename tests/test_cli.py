@@ -147,6 +147,19 @@ def test_bounds_table(tmp_path):
     assert names == {"singleton", "sphere_packing", "gilbert_varshamov"}
 
 
+def test_bounds_table_rejects_bad_partition_and_q(capsys):
+    # both used to print bounds and exit 0
+    for args, bad in ((["--metric", "sumrank", "--n", "8", "--d", "3",
+                        "--q", "2", "--m", "4", "--partition", "4 3"],
+                       "[4, 3] sums to 7, not n = 8"),
+                      (["--metric", "hamming", "--n", "7", "--d", "3",
+                        "--q", "6"], "q = 6 is not a prime power")):
+        assert cli.main(["bounds-table"] + args) == cli.EXIT_INFEASIBLE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert bad in err
+
+
 def test_config_file_defaults(tmp_path):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("seed=9\n")

@@ -1,8 +1,10 @@
+import copy
 import hashlib
 import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from skewcodes import gf
 
@@ -274,3 +276,40 @@ def test_no_table_arithmetic_pinned(key):
     gamma, digest = PINNED_NO_TABLES[key]
     assert fld.gamma == gamma
     assert _digest(fld.gamma, out, base.gamma, base.exp, base.log) == digest
+
+
+# char-2 tables, odd-characteristic tables, the two-level GF(9^2), a prime field
+SPAN_FIELDS = (F8, F16, F9, gf.field(3, 2, 2), gf.field(7, 1, 1))
+
+
+def _span_oracle(field, rows, offset):
+    """Every word offset + sum c_i rows[i], summed directly per message."""
+    if offset is None:
+        offset = [0] * (len(rows[0]) if rows else 0)
+    words = []
+    for msg in itertools.product(field.elements(), repeat=len(rows)):
+        word = list(offset)
+        for c, row in zip(msg, rows):
+            for j, g in enumerate(row):
+                word[j] = field.add(word[j], field.mul(c, g))
+        words.append(word)
+    return words
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_span_matches_product_sum(data):
+    fld = data.draw(st.sampled_from(SPAN_FIELDS))
+    k_max = max(k for k in range(6) if fld.order ** k <= 8000)
+    k = data.draw(st.integers(0, k_max))
+    n = data.draw(st.integers(0 if k == 0 else 1, 4))
+    vec = st.lists(st.integers(0, fld.order - 1), min_size=n, max_size=n)
+    rows = data.draw(st.lists(vec, min_size=k, max_size=k))
+    offset = data.draw(st.none() | vec)
+    before = copy.deepcopy((rows, offset))
+    words = list(gf.span(fld, rows, offset))
+    assert words == _span_oracle(fld, rows, offset)
+    # nothing is mutated and every word is its own list
+    assert (rows, offset) == before
+    assert len({id(w) for w in words}) == len(words)
+    assert all(w is not offset for w in words)

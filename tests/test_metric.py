@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from skewcodes import gf, metric
 
@@ -60,6 +61,52 @@ def test_min_distance_grs_32_over_f4():
     locs = [1, fld.gamma, fld.mul(fld.gamma, fld.gamma)]
     gen = [[1, 1, 1], locs]
     assert metric.min_distance_bruteforce(fld, gen) == 2
+
+
+def test_min_distance_dependent_rows_is_zero():
+    # a nonzero message that encodes to the zero word has weight 0
+    assert metric.min_distance_bruteforce(F4, [[1, 1], [0, 0]]) == 0
+    assert metric.min_distance_bruteforce(F4, [[0, 0]]) == 0
+    assert metric.min_distance_bruteforce(F4, [[1, 0, 0], [0, 1, 1],
+                                               [1, 1, 1]]) == 0
+
+
+def _min_distance_oracle(field, rows, metric_name, partition):
+    """Minimum weight over the words of every nonzero message, not only of
+    the projective ones."""
+    best = None
+    for msg in itertools.product(field.elements(), repeat=len(rows)):
+        if not any(msg):
+            continue
+        word = [0] * len(rows[0])
+        for c, row in zip(msg, rows):
+            if c:
+                for j, g in enumerate(row):
+                    word[j] = field.add(word[j], field.mul(c, g))
+        w = metric.weight(field, word, metric_name, partition)
+        if best is None or w < best:
+            best = w
+    return best
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_min_distance_projective_matches_full_enumeration(data):
+    fld = data.draw(st.sampled_from((F4, gf.field(2, 1, 3), F9, F16)))
+    name = data.draw(st.sampled_from((metric.HAMMING, metric.RANK,
+                                      metric.SUMRANK)))
+    k = data.draw(st.integers(1, 3 if fld.order < 9 else 2))
+    n = data.draw(st.integers(1, 5))
+    vec = st.lists(st.integers(0, fld.order - 1), min_size=n, max_size=n)
+    rows = data.draw(st.lists(vec, min_size=k, max_size=k))
+    part = None
+    if name == metric.SUMRANK:
+        cuts = data.draw(st.sets(st.integers(1, n - 1))) if n > 1 else set()
+        bounds = [0] + sorted(cuts) + [n]
+        part = metric.OrderedPartition(tuple(b - a for a, b in
+                                             zip(bounds, bounds[1:])))
+    assert metric.min_distance_bruteforce(fld, rows, name, part) == \
+        _min_distance_oracle(fld, rows, name, part)
 
 
 def test_q_binomial_basics():
@@ -151,6 +198,15 @@ def test_gv_le_max_size_le_sphere_packing_tiny():
                        metric.classical_bounds(metric.HAMMING, n, d, 2)}
             assert reports["gilbert_varshamov"] <= best
             assert best <= reports["sphere_packing"]
+
+
+def test_classical_bounds_reject_bad_q_and_partition():
+    for name in (metric.HAMMING, metric.RANK):
+        with pytest.raises(ValueError, match="q = 6 is not a prime power"):
+            metric.classical_bounds(name, 8, 3, 6)
+    with pytest.raises(ValueError, match=r"\[4, 3\] sums to 7, not n = 8"):
+        metric.classical_bounds(metric.SUMRANK, 8, 3, 2, 4,
+                                metric.OrderedPartition((4, 3)))
 
 
 def test_ball_guard():
