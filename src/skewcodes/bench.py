@@ -80,6 +80,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kind not in ("grs", "alternant"):
             raise ValueError("kind must be 'grs' or 'alternant'")
+        if self.s < 1:
+            raise ValueError(f"interleaving order s = {self.s} must be >= 1")
         if self.trials < 1:
             raise ValueError("trial count must be >= 1")
         if self.seed is None:

@@ -2,7 +2,8 @@
 
 Exit codes: 0 ok, 1 usage error, 2 infeasible instance or guard violation,
 3 internal error.  Stochastic subcommands require --seed; --out writes the
-payload to a file instead of stdout; --config FILE loads key=value defaults.
+payload to a file instead of stdout; --config FILE loads key=value defaults
+that explicit flags override.
 """
 
 import argparse
@@ -60,7 +61,7 @@ def _load_config(path):
             if not line or line.startswith("#"):
                 continue
             key, _, value = line.partition("=")
-            out[key.strip()] = value.strip()
+            out[key.strip().replace("-", "_")] = value.strip()
     return out
 
 
@@ -401,22 +402,36 @@ def build_parser():
     return parser
 
 
+def _config_defaults(parser, config):
+    """Make config (option dest -> string) the defaults of its options.
+
+    Applied to parser and every subcommand parser before parsing, so that
+    an explicit flag still wins and argparse converts each string with the
+    option's own type=.  Flags that take no value keep their defaults, and
+    so do the global options repeated after the subcommand (their default
+    SUPPRESS leaves the top-level value in place).
+    """
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                _config_defaults(sub, config)
+        elif (action.dest in config and action.nargs != 0
+              and action.default is not argparse.SUPPRESS):
+            action.default = config[action.dest]
+
+
 def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.config:
+            _config_defaults(parser, _load_config(args.config))
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    if args.config:
-        try:
-            defaults = _load_config(args.config)
-        except OSError as exc:
-            sys.stderr.write(f"config: {exc}\n")
-            return EXIT_USAGE
-        for key, value in defaults.items():
-            attr = key.replace("-", "_")
-            if getattr(args, attr, None) is None:
-                setattr(args, attr, type_coerce(value))
+    except OSError as exc:
+        sys.stderr.write(f"config: {exc}\n")
+        return EXIT_USAGE
     try:
         args.func(args)
         return EXIT_OK
@@ -432,16 +447,6 @@ def main(argv=None):
     except Exception as exc:     # noqa: BLE001 - CLI boundary
         sys.stderr.write(f"internal: {exc}\n")
         return EXIT_INTERNAL
-
-
-def type_coerce(value):
-    try:
-        return int(value)
-    except ValueError:
-        try:
-            return float(value)
-        except ValueError:
-            return value
 
 
 if __name__ == "__main__":

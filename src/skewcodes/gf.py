@@ -410,69 +410,8 @@ class Field:
     def random_nonzero(self, rng):
         return 1 + rng.randrange(self.order - 1)
 
-    def element(self, code):
-        return Element(self, code)
-
     def __repr__(self):
         return f"GF({self.p}^{self.dim})[q={self.q},m={self.m}]"
-
-
-class Element:
-    """Convenience wrapper around (field, code) with operator overloads."""
-
-    __slots__ = ("field", "code")
-
-    def __init__(self, field, code):
-        self.field = field
-        self.code = code
-
-    def _check(self, other):
-        if not isinstance(other, Element):
-            raise TypeError("field element expected")
-        if other.field is not self.field:
-            raise ValueError("elements from different fields")
-        return other
-
-    def __add__(self, other):
-        return Element(self.field, self.field.add(self.code,
-                                                  self._check(other).code))
-
-    def __sub__(self, other):
-        return Element(self.field, self.field.sub(self.code,
-                                                  self._check(other).code))
-
-    def __mul__(self, other):
-        return Element(self.field, self.field.mul(self.code,
-                                                  self._check(other).code))
-
-    def __truediv__(self, other):
-        return Element(self.field, self.field.div(self.code,
-                                                  self._check(other).code))
-
-    def __pow__(self, n):
-        return Element(self.field, self.field.power(self.code, n))
-
-    def __neg__(self):
-        return Element(self.field, self.field.neg(self.code))
-
-    def inverse(self):
-        return Element(self.field, self.field.inv(self.code))
-
-    def frobenius(self, j=1):
-        return Element(self.field, self.field.frob(self.code, j))
-
-    def __eq__(self, other):
-        return (isinstance(other, Element) and other.field is self.field
-                and other.code == self.code)
-
-    def __hash__(self):
-        return hash((id(self.field), self.code))
-
-    def __bool__(self):
-        return self.code != 0
-
-    def __repr__(self):
-        return f"<{self.code} in {self.field!r}>"
 
 
 # ---------------------------------------------------------------------------
@@ -624,13 +563,12 @@ def _det(field, rows):
     return total
 
 
-def right_kernel(field, rows):
-    """Basis of {x : rows * x = 0}, as a list of vectors."""
-    ncols = len(rows[0]) if rows else 0
-    if not rows:
-        return [[1 if i == j else 0 for j in range(ncols)]
-                for i in range(ncols)]
-    red, pivots = rref(field, rows)
+def _kernel(field, red, pivots, ncols):
+    """Kernel basis of the first ncols columns, read from one rref result.
+
+    One vector per free column f < ncols: 1 at f and minus column f of the
+    reduced rows at the pivot columns.
+    """
     pivot_set = set(pivots)
     free = [c for c in range(ncols) if c not in pivot_set]
     basis = []
@@ -644,10 +582,18 @@ def right_kernel(field, rows):
     return basis
 
 
+def right_kernel(field, rows):
+    """Basis of {x : rows * x = 0}, as a list of vectors."""
+    red, pivots = rref(field, rows)
+    return _kernel(field, red, pivots, len(rows[0]) if rows else 0)
+
+
 def solve(field, rows, rhs):
     """Solve rows * x = rhs; returns (particular, kernel_basis) or None.
 
-    A None return signals an inconsistent system, not an error.
+    A None return signals an inconsistent system, not an error.  One rref of
+    the augmented system gives both parts: its pivots in the first columns
+    are those of rows alone, so the kernel equals right_kernel(rows).
     """
     ncols = len(rows[0]) if rows else 0
     aug = [list(r) + [b] for r, b in zip(rows, rhs)]
@@ -657,7 +603,7 @@ def solve(field, rows, rhs):
     x = [0] * ncols
     for r, pc in enumerate(pivots):
         x[pc] = red[r][ncols]
-    return x, right_kernel(field, rows)
+    return x, _kernel(field, red, pivots, ncols)
 
 
 def expand_matrix(field, vector):

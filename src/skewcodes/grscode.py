@@ -8,6 +8,7 @@ quantities B^MDS feed the interleaved-decoding bounds.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import gf
 
@@ -37,23 +38,34 @@ class GrsSpec:
     def k(self):
         return self.n - self.d + 1
 
+    @cached_property
+    def parity_rows(self):
+        """The d-1 rows of H * diag(v), (v_j alpha_j^i)_j, built once.
+
+        Shared by parity_check and the decoder; callers must not change them.
+        """
+        fld = self.field
+        rows = []
+        powers = [1] * self.n
+        for _ in range(self.d - 1):
+            rows.append([fld.mul(p, v)
+                         for p, v in zip(powers, self.multipliers)])
+            powers = [fld.mul(p, a) for p, a in zip(powers, self.locators)]
+        return rows
+
 
 def default_spec(field, n, d, multipliers=None):
     """Spec with locators gamma^0..gamma^(n-1) and all-one multipliers."""
+    if n > field.order - 1:
+        raise ValueError(f"n = {n} exceeds q^m - 1 = {field.order - 1}, "
+                         "the number of nonzero locators")
     locs = [field.power(field.gamma, i) for i in range(n)]
     return GrsSpec(field, locs, multipliers or [1] * n, d)
 
 
 def parity_check(spec):
     """(d-1) x n matrix H * diag(v); empty for d = 1 (full code)."""
-    fld = spec.field
-    rows = []
-    powers = [1] * spec.n
-    for _ in range(spec.d - 1):
-        rows.append([fld.mul(p, v)
-                     for p, v in zip(powers, spec.multipliers)])
-        powers = [fld.mul(p, a) for p, a in zip(powers, spec.locators)]
-    return gf.Matrix(fld, rows)
+    return gf.Matrix(spec.field, [list(r) for r in spec.parity_rows])
 
 
 def dual_multipliers(spec):

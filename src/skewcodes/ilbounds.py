@@ -117,6 +117,8 @@ class BoundInputs:
     kopt_policy: str = KOPT_FULL
 
     def __post_init__(self):
+        if self.s < 1:
+            raise ValueError(f"interleaving order s = {self.s} must be >= 1")
         if self.d > self.n or self.t < 1:
             raise ValueError("need d <= n and t >= 1")
         if self.n > self.q ** self.m - 1:

@@ -1,12 +1,16 @@
 """Burst errors and the syndrome-based joint decoder for interleaved GRS
 codes, plus the two analytical success oracles.
 
-The key-equation system S(t) Lambda = T(t) stacks per-row Hankel blocks of
-syndromes s_{i,r} = sum_p E_{i,p} v_p alpha_p^(r-1).  A solution vector x
-defines the monic reversal g(y) = y^t + sum x_l y^l whose roots must be t*
-distinct code locators; Forney evaluation then recovers the error columns.
-A root outside the locator set, a non-unique solution, or a zero error
-column at a claimed position is a decoding failure, never an exception.
+The key-equation system S(t) x = -T(t) stacks per-row Hankel blocks of
+syndromes s_{i,r} = sum_p E_{i,p} v_p alpha_p^r, r < d-1.  A solution x
+defines the monic g(y) = y^t + sum x_l y^l whose roots must be t* distinct
+code locators.  The error columns then solve the square system
+sum_p v_p alpha_p^r E_{i,p} = s_{i,r}, r < t*, at those locators: it is
+invertible because the locators are distinct and nonzero, and the key
+equation makes the remaining syndromes agree, so its solution is the one
+Forney's formula gives.  A root outside the locator set, a non-unique
+solution, or a zero error column at a claimed position is a decoding
+failure, never an exception.
 """
 
 from dataclasses import dataclass
@@ -75,34 +79,17 @@ def sample_burst(field, s, n, t, rng, support=None, subfield=False):
 
 def syndromes(field, rows, spec):
     """R (H diag v)^T: an s x (d-1) matrix; depends only on the error."""
-    d1 = spec.d - 1
-    out = []
+    h = spec.parity_rows
     add, mul = field.add, field.mul
-    power_table = _locator_power_table(field, spec)
+    out = []
     for row in rows:
-        syn = [0] * d1
+        syn = [0] * (spec.d - 1)
         for j, x in enumerate(row):
             if x:
-                powers = power_table[j]
-                for r in range(d1):
-                    syn[r] = add(syn[r], mul(x, powers[r]))
+                for r, hr in enumerate(h):
+                    syn[r] = add(syn[r], mul(x, hr[j]))
         out.append(syn)
     return out
-
-
-def _locator_power_table(field, spec):
-    # power_table[j][r] = v_j * alpha_j^r, cached per spec
-    cache = getattr(spec, "_power_table", None)
-    if cache is None:
-        mul = field.mul
-        cache = []
-        for a, v in zip(spec.locators, spec.multipliers):
-            row = [v]
-            for _ in range(spec.d - 2):
-                row.append(mul(row[-1], a))
-            cache.append(row)
-        spec._power_table = cache
-    return cache
 
 
 def t_max_radius(d, s):
@@ -111,29 +98,13 @@ def t_max_radius(d, s):
 
 
 def _key_system(syns, t):
-    """Stacked (S(t) | T(t)) as an augmented row list."""
-    rows = []
-    d1 = len(syns[0])
+    """S(t) as a row list and T(t) as its right-hand side, stacked per row."""
+    rows, rhs = [], []
     for syn in syns:
-        for j in range(d1 - t):
-            rows.append(syn[j:j + t] + [syn[j + t]])
-    return rows
-
-
-def _solve_key_equation(field, syns, t):
-    """None if inconsistent, else ('many', None) or ('unique', x)."""
-    rows = _key_system(syns, t)
-    neg = field.neg
-    aug = [r[:-1] + [neg(r[-1])] for r in rows]
-    red, pivots = gf.rref(field, aug)
-    if t in pivots:
-        return None
-    if len(pivots) < t:
-        return "many", None
-    x = [0] * t
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r][t]
-    return "unique", x
+        for j in range(len(syn) - t):
+            rows.append(syn[j:j + t])
+            rhs.append(syn[j + t])
+    return rows, rhs
 
 
 def joint_decode(rows, spec):
@@ -145,23 +116,26 @@ def joint_decode(rows, spec):
         return DecodeOutcome(SUCCESS, [list(r) for r in rows], 0)
     tmax = t_max_radius(spec.d, s)
     for t_star in range(1, tmax + 1):
-        solved = _solve_key_equation(field, syns, t_star)
+        system, rhs = _key_system(syns, t_star)
+        solved = gf.solve(field, system, [field.neg(b) for b in rhs])
         if solved is None:
             continue
-        status, x = solved
-        if status == "many":
+        x, kernel = solved
+        if kernel:
             return DecodeOutcome(FAILURE, None, t_star,
                                  "non-unique key-equation solution")
         positions = _locator_roots(field, spec, x, t_star)
         if positions is None:
             return DecodeOutcome(FAILURE, None, t_star,
                                  "error locator roots not in the locator set")
-        err = _forney(field, spec, syns, x, positions)
-        if err is None:
+        columns = _error_columns(field, spec, syns, positions)
+        if not all(any(col) for col in columns):
             return DecodeOutcome(FAILURE, None, t_star,
                                  "zero error column at a claimed position")
-        decoded = [[field.sub(rows[i][j], err[i][j]) for j in range(spec.n)]
-                   for i in range(s)]
+        decoded = [list(r) for r in rows]
+        for p, col in zip(positions, columns):
+            for row, e in zip(decoded, col):
+                row[p] = field.sub(row[p], e)
         return DecodeOutcome(SUCCESS, decoded, t_star)
     return DecodeOutcome(FAILURE, None, None, "no solvable key equation "
                          f"within the radius {tmax}")
@@ -187,53 +161,19 @@ def _locator_roots(field, spec, x, t):
     return roots if len(roots) == t else None
 
 
-def _forney(field, spec, syns, x, positions):
-    """Error values via Omega_i = S_i * Lambda mod x^(d-1) at the roots."""
-    add, mul, neg = field.add, field.mul, field.neg
+def _error_columns(field, spec, syns, positions):
+    """The length-s error column at each position, in positions order.
+
+    One rref of [v_p alpha_p^r | s_{1,r} .. s_{s,r}], r < t, over the t
+    positions p: the left block reduces to the identity, leaving the
+    columns as the rows of the right block.
+    """
+    h = spec.parity_rows
     t = len(positions)
-    # Lambda(z) = prod (1 - alpha_p z): coefficients from the reversal of g
-    lam = [1] + [x[t - u] for u in range(1, t + 1)]
-    # formal derivative; scalar c repeated u times is (u mod p) * c
-    p_char = field.p
-    lam_deriv = []
-    for u in range(1, t + 1):
-        c = lam[u]
-        scaled = 0
-        for _ in range(u % p_char):
-            scaled = add(scaled, c)
-        lam_deriv.append(scaled)
-    d1 = spec.d - 1
-    err_cols = []
-    inv = field.inv
-    for p_idx in positions:
-        a_inv = inv(spec.locators[p_idx])
-        # Lambda'(a_inv)
-        dval = 0
-        for c in reversed(lam_deriv):
-            dval = add(mul(dval, a_inv), c)
-        if dval == 0:
-            return None
-        col = []
-        for syn in syns:
-            # Omega_i(a_inv) with Omega_i = syn * lam truncated below x^(d-1)
-            oval = 0
-            for idx in range(min(t, d1) - 1, -1, -1):
-                acc = 0
-                for u in range(0, idx + 1):
-                    if u <= t and lam[u] and idx - u < d1 and syn[idx - u]:
-                        acc = add(acc, mul(lam[u], syn[idx - u]))
-                oval = add(mul(oval, a_inv), acc)
-            y = neg(mul(spec.locators[p_idx], mul(oval, inv(dval))))
-            col.append(mul(y, inv(spec.multipliers[p_idx])))
-        if not any(col):
-            return None
-        err_cols.append(col)
-    s = len(syns)
-    err = [[0] * spec.n for _ in range(s)]
-    for c, p_idx in enumerate(positions):
-        for i in range(s):
-            err[i][p_idx] = err_cols[c][i]
-    return err
+    system = [[h[r][p] for p in positions] + [syn[r] for syn in syns]
+              for r in range(t)]
+    red, _ = gf.rref(field, system)
+    return [row[t:] for row in red]
 
 
 def classify(outcome, true_rows):
@@ -254,7 +194,7 @@ def rank_oracle(error, spec, s):
         return True
     rows = error.full_matrix(s, spec.n)
     syns = syndromes(field, rows, spec)
-    system = [r[:-1] for r in _key_system(syns, t)]
+    system, _ = _key_system(syns, t)
     if not system:
         return False
     return gf.rank(field, system) == t

@@ -321,8 +321,14 @@ def _lagrange_eval(field, xs, vals, x0):
     return acc
 
 
+def _check_tau(tau):
+    if not 0 <= tau <= 1:
+        raise ValueError(f"erasure probability tau = {tau} must lie in [0, 1]")
+
+
 def lrs_fail_prob(q, r, tau):
     """Closed-form local-recovery failure probability of lifted RS codes."""
+    _check_tau(tau)
     inner = sum(math.comb(q - 1, i) * tau ** i * (1 - tau) ** (q - 1 - i)
                 for i in range(r, q))
     return inner ** (q + 1)
@@ -330,6 +336,9 @@ def lrs_fail_prob(q, r, tau):
 
 def simulate_local(params, tau, trials, rng):
     """Fraction of trials in which an erased symbol has no usable curve."""
+    _check_tau(tau)
+    if trials < 1:
+        raise ValueError(f"trials = {trials} must be >= 1")
     field = gf.field(2, params.ell, 1)
     q = field.order
     target = 0

@@ -1,5 +1,11 @@
 import re
 
+from hypothesis import settings
+
+# Property tests run the same examples on every run and have no time limit.
+settings.register_profile("skewcodes", deadline=None, derandomize=True)
+settings.load_profile("skewcodes")
+
 
 def pytest_terminal_summary(terminalreporter):
     """One pass/fail line per acceptance criterion at the end of the run."""

@@ -160,14 +160,45 @@ def test_bounds_table_rejects_bad_partition_and_q(capsys):
         assert bad in err
 
 
-def test_config_file_defaults(tmp_path):
+def test_config_file_defaults(tmp_path, capsys):
     cfg = tmp_path / "exp.cfg"
-    cfg.write_text("seed=9\n")
-    out = tmp_path / "o.json"
-    code = cli.main(["--config", str(cfg), "--out", str(out), "qlrs-local",
-                     "--ell", "2", "--r", "1", "--tau", "0.2",
-                     "--trials", "50"])
-    assert code == 0
+    cfg.write_text("seed=9\ntrials=7\n")
+    argv = ["--config", str(cfg), "qlrs-local", "--ell", "2", "--r", "1",
+            "--tau", "0.2"]
+    # trials=7 used to be ignored in favour of the default 1000; an
+    # explicit flag still wins over the file
+    for extra, want in (([], 7), (["--trials", "5"], 5)):
+        assert cli.main(argv + extra) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["trials"] == want
+
+
+def test_il_sim_and_il_bounds_reject_bad_s_and_n(capsys):
+    # s = 0 used to exit 3 with "internal: Fraction(31, 0)", and n = 40
+    # over GF(32) to blame the locators
+    code = ["--q", "2", "--m", "5", "--d", "5"]
+    for argv, bad in ((["--seed", "1", "il-sim", "--n", "10", "--s", "0"],
+                       "s = 0"),
+                      (["il-bounds", "--n", "10", "--s", "0"], "s = 0"),
+                      (["--seed", "1", "il-sim", "--n", "40", "--s", "2"],
+                       "n = 40 exceeds q^m - 1 = 31")):
+        assert cli.main(argv + code) == cli.EXIT_INFEASIBLE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert bad in err
+
+
+def test_qlrs_local_rejects_bad_tau_and_trials(capsys):
+    # tau = 1.5 used to exit 0 with failure rate 1.0, tau = -0.5 to report a
+    # closed-form probability of 1.39e55, and --trials 0 to exit 3
+    for extra, bad in ((["--tau", "1.5"], "tau = 1.5"),
+                       (["--tau", "-0.5"], "tau = -0.5"),
+                       (["--tau", "0.5", "--trials", "0"], "trials = 0")):
+        argv = ["--seed", "1", "qlrs-local", "--ell", "4", "--r", "1"]
+        assert cli.main(argv + extra) == cli.EXIT_INFEASIBLE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert bad in err
 
 
 def test_module_entry_point():

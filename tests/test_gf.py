@@ -130,18 +130,25 @@ def test_solve_inconsistent_returns_none():
 
 
 def test_solve_roundtrip_random():
-    fld = F16
     rng = random.Random(3)
-    for _ in range(50):
-        a = [[rng.randrange(fld.order) for _ in range(4)] for _ in range(3)]
-        x = [rng.randrange(fld.order) for _ in range(4)]
-        b = gf.mat_vec(fld, a, x)
-        sol = gf.solve(fld, a, b)
-        assert sol is not None
-        x0, kern = sol
-        assert gf.mat_vec(fld, a, x0) == b
-        for vec in kern:
-            assert gf.mat_vec(fld, a, vec) == [0, 0, 0]
+    for fld in (F16, F9, gf.field(5, 1, 2), gf.field(7, 1, 1)):
+        for _ in range(50):
+            nrows, ncols = rng.randrange(1, 5), rng.randrange(1, 6)
+            a = [[rng.randrange(fld.order) for _ in range(ncols)]
+                 for _ in range(nrows)]
+            if nrows > 1 and rng.random() < 0.3:
+                a[-1] = list(a[0])            # a dependent row
+            x = [rng.randrange(fld.order) for _ in range(ncols)]
+            b = gf.mat_vec(fld, a, x)
+            sol = gf.solve(fld, a, b)
+            assert sol is not None
+            x0, kern = sol
+            assert gf.mat_vec(fld, a, x0) == b
+            # the kernel read from the augmented rref is right_kernel's
+            assert kern == gf.right_kernel(fld, a)
+            assert len(kern) == ncols - gf.rank(fld, a)
+            for vec in kern:
+                assert gf.mat_vec(fld, a, vec) == [0] * nrows
 
 
 def test_rank_matches_minor_oracle():
@@ -200,16 +207,6 @@ def test_big_field_no_tables_basic():
     assert fld.frob(g, fld.m) == g
     x = fld.power(g, 12345)
     assert fld.mul(x, fld.power(g, 55)) == fld.power(g, 12400)
-
-
-def test_element_wrapper_ops():
-    a = F16.element(F16.gamma)
-    b = F16.element(7)
-    assert (a + b - b).code == a.code
-    assert (a * b / b).code == a.code
-    assert (a ** (F16.order - 1)).code == 1
-    with pytest.raises(ValueError):
-        _ = a + F9.element(1)
 
 
 # SHA-256 digests of the field tables, recorded before the field classes
@@ -296,7 +293,7 @@ def _span_oracle(field, rows, offset):
     return words
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60)
 @given(st.data())
 def test_span_matches_product_sum(data):
     fld = data.draw(st.sampled_from(SPAN_FIELDS))

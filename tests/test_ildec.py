@@ -1,6 +1,8 @@
 import itertools
 import random
 
+from hypothesis import given, settings, strategies as st
+
 from skewcodes import gf, grscode, ildec
 
 F8 = gf.field(2, 1, 3)
@@ -202,3 +204,123 @@ def test_oracles_match_decoder_extension_errors():
             got = ildec.classify(out, zero) == ildec.SUCCESS
             assert got == ildec.rank_oracle(err, spec, s)
             assert got == ildec.crux_oracle(err, spec, s)
+
+
+# ---------------------------------------------------------------------------
+# the earlier decoder, kept as the reference: key equation read from its own
+# rref, error values by Forney's formula, syndromes from a power table
+
+def _reference_decode(rows, spec):
+    field = spec.field
+    add, mul, neg = field.add, field.mul, field.neg
+    d1, s = spec.d - 1, len(rows)
+    table = []
+    for a, v in zip(spec.locators, spec.multipliers):
+        row = [v]
+        for _ in range(d1 - 1):
+            row.append(mul(row[-1], a))
+        table.append(row)
+    syns = []
+    for row in rows:
+        syn = [0] * d1
+        for j, x in enumerate(row):
+            if x:
+                for r in range(d1):
+                    syn[r] = add(syn[r], mul(x, table[j][r]))
+        syns.append(syn)
+    if not any(any(syn) for syn in syns):
+        return ildec.DecodeOutcome(ildec.SUCCESS, [list(r) for r in rows], 0)
+    tmax = ildec.t_max_radius(spec.d, s)
+    for t in range(1, tmax + 1):
+        aug = [syn[j:j + t] + [neg(syn[j + t])]
+               for syn in syns for j in range(d1 - t)]
+        red, pivots = gf.rref(field, aug)
+        if t in pivots:
+            continue
+        if len(pivots) < t:
+            return ildec.DecodeOutcome(ildec.FAILURE, None, t,
+                                       "non-unique key-equation solution")
+        x = [0] * t
+        for r, pc in enumerate(pivots):
+            x[pc] = red[r][t]
+        positions = ildec._locator_roots(field, spec, x, t)
+        if positions is None:
+            return ildec.DecodeOutcome(
+                ildec.FAILURE, None, t,
+                "error locator roots not in the locator set")
+        err = _reference_forney(field, spec, syns, x, positions)
+        if err is None:
+            return ildec.DecodeOutcome(
+                ildec.FAILURE, None, t,
+                "zero error column at a claimed position")
+        decoded = [[field.sub(rows[i][j], err[i][j]) for j in range(spec.n)]
+                   for i in range(s)]
+        return ildec.DecodeOutcome(ildec.SUCCESS, decoded, t)
+    return ildec.DecodeOutcome(ildec.FAILURE, None, None,
+                               f"no solvable key equation within the radius "
+                               f"{tmax}")
+
+
+def _reference_forney(field, spec, syns, x, positions):
+    add, mul, neg, inv = field.add, field.mul, field.neg, field.inv
+    t, d1 = len(positions), spec.d - 1
+    lam = [1] + [x[t - u] for u in range(1, t + 1)]
+    lam_deriv = []
+    for u in range(1, t + 1):
+        scaled = 0
+        for _ in range(u % field.p):
+            scaled = add(scaled, lam[u])
+        lam_deriv.append(scaled)
+    err = [[0] * spec.n for _ in syns]
+    for p in positions:
+        a_inv = inv(spec.locators[p])
+        dval = 0
+        for c in reversed(lam_deriv):
+            dval = add(mul(dval, a_inv), c)
+        if dval == 0:
+            return None
+        col = []
+        for syn in syns:
+            oval = 0
+            for idx in range(min(t, d1) - 1, -1, -1):
+                acc = 0
+                for u in range(idx + 1):
+                    if lam[u] and idx - u < d1 and syn[idx - u]:
+                        acc = add(acc, mul(lam[u], syn[idx - u]))
+                oval = add(mul(oval, a_inv), acc)
+            y = neg(mul(spec.locators[p], mul(oval, inv(dval))))
+            col.append(mul(y, inv(spec.multipliers[p])))
+        if not any(col):
+            return None
+        for i, e in enumerate(col):
+            err[i][p] = e
+    return err
+
+
+# char 2 (with and without an intermediate F_4) and characteristic 3, 5, 7
+REFERENCE_FIELDS = (F8, gf.field(2, 1, 4), gf.field(2, 2, 2),
+                    gf.field(3, 1, 2), gf.field(3, 1, 3), gf.field(5, 1, 2),
+                    gf.field(7, 1, 2))
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_decoder_matches_scan_forney_reference(data):
+    fld = data.draw(st.sampled_from(REFERENCE_FIELDS))
+    n = data.draw(st.integers(3, min(fld.order - 1, 14)))
+    d = data.draw(st.integers(2, n))
+    s = data.draw(st.integers(1, 4))
+    nonzero = st.integers(1, fld.order - 1)
+    mults = data.draw(st.lists(nonzero, min_size=n, max_size=n))
+    spec = grscode.default_spec(fld, n, d, mults)
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+    if data.draw(st.booleans()):
+        t = data.draw(st.integers(1, min(n, ildec.t_max_radius(d, s) + 2)))
+        err = ildec.sample_burst(fld, s, n, t, rng,
+                                 subfield=data.draw(st.booleans()))
+        rows = add_rows(fld, random_codeword_rows(fld, spec, s, rng),
+                        err.full_matrix(s, n))
+    else:
+        rows = [[rng.randrange(fld.order) for _ in range(n)]
+                for _ in range(s)]
+    assert ildec.joint_decode(rows, spec) == _reference_decode(rows, spec)

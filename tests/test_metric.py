@@ -89,7 +89,7 @@ def _min_distance_oracle(field, rows, metric_name, partition):
     return best
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60)
 @given(st.data())
 def test_min_distance_projective_matches_full_enumeration(data):
     fld = data.draw(st.sampled_from((F4, gf.field(2, 1, 3), F9, F16)))
