@@ -11,7 +11,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import gf
+from . import gf, grscode
 
 EXHAUSTIVE_GUARD = 1 << 22
 
@@ -41,10 +41,8 @@ def _rs_codewords(field, n, k):
     """Codewords of the RS[n-k-1, n-2k] code with the power parity check."""
     length = n - k - 1
     dim = n - 2 * k
-    rows = []
-    for r in range(k - 1):
-        rows.append([field.power(field.power(field.gamma, p), r)
-                     for p in range(length)])
+    points = [field.power(field.gamma, p) for p in range(length)]
+    rows = grscode.power_rows(field, points, [1] * length, k - 1)
     if rows:
         basis = gf.right_kernel(field, rows)
     else:

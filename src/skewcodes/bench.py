@@ -8,7 +8,7 @@ output and trials could run in any order.
 
 import io
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 
 from . import grscode, ilbounds, ildec
 
@@ -74,7 +74,6 @@ class ExperimentConfig:
     trials: int
     seed: int
     support_mode: str = "random"
-    multipliers: list = None
     spec: object = dc_field(default=None, repr=False)
 
     def __post_init__(self):
@@ -87,8 +86,7 @@ class ExperimentConfig:
         if self.seed is None:
             raise ValueError("a master seed is mandatory")
         if self.spec is None:
-            self.spec = grscode.default_spec(self.field, self.n, self.d,
-                                             self.multipliers)
+            self.spec = grscode.default_spec(self.field, self.n, self.d)
 
 
 @dataclass
@@ -143,9 +141,7 @@ def mc_psuc(config, t):
 
 def threshold_scan(config, target=0.9, trials=100):
     """Largest t such that P_suc(t') > target for every t' <= t."""
-    scan_cfg = ExperimentConfig(config.kind, config.field, config.n,
-                                config.d, config.s, trials, config.seed,
-                                config.support_mode, config.multipliers)
+    scan_cfg = replace(config, trials=trials)
     t = 0
     while t + 1 <= config.n:
         est = mc_psuc(scan_cfg, t + 1)

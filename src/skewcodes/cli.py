@@ -104,12 +104,12 @@ def cmd_lrs_gen(args):
     spec = lrs.default_spec(fld, tuple(_parse_ints(args.lengths)), args.k)
     gen = lrs.generator_matrix(spec)
     payload = {"n": spec.n, "k": spec.k, "blocks": list(spec.lengths),
-               "locators": lrs.code_locators(spec), "matrix": gen.data}
+               "locators": lrs.code_locators(spec), "matrix": gen}
     if fld.has_tables:
         payload["matrix_gamma_exponents"] = [
             [None if x == 0 else fld.dlog(x) for x in row]
-            for row in gen.data]
-    text = "\n".join(",".join(str(x) for x in row) for row in gen.data) + "\n"
+            for row in gen]
+    text = "\n".join(",".join(str(x) for x in row) for row in gen) + "\n"
     _emit(args, payload, text)
 
 
@@ -138,8 +138,8 @@ def cmd_support_build(args):
     result = support.build_constrained_generator(spec, pattern, rng)
     _emit(args, {"attempts": result.attempts,
                  "padded_zeros": [sorted(z) for z in result.pattern.zeros],
-                 "transform": result.t_matrix.data,
-                 "generator": result.generator.data})
+                 "transform": result.t_matrix,
+                 "generator": result.generator})
 
 
 def cmd_dist_design(args):
@@ -154,8 +154,8 @@ def cmd_dist_design(args):
         "q": res.q, "m": res.m, "blocks": list(res.block_lengths),
         "source_lengths": {" ".join(map(str, sorted(k))): v
                            for k, v in res.source_lengths.items()},
-        "generator_rows": res.generator.nrows,
-        "generator_cols": res.generator.ncols})
+        "generator_rows": len(res.generator),
+        "generator_cols": len(res.generator[0])})
 
 
 def cmd_netgap(args):
@@ -211,9 +211,10 @@ def cmd_il_bounds(args):
 
 def cmd_qlrs_dim(args):
     params = qlrs.QlrsParams(args.ell, args.r)
+    bad = qlrs.bad_star_count(params)
     payload = {"q": params.q, "r": args.r,
-               "dimension": qlrs.dimension(params),
-               "bad_monomials": qlrs.bad_star_count(params),
+               "dimension": params.q ** 2 - bad,
+               "bad_monomials": bad,
                "distance_bounds": qlrs.distance_bounds(params)}
     _emit(args, payload)
 

@@ -21,7 +21,6 @@ identity on codes.
 """
 
 import itertools
-from dataclasses import dataclass
 
 TABLE_LIMIT = 1 << 20
 
@@ -397,15 +396,7 @@ class Field:
 
     def base_elements(self):
         """Codes of the embedded subfield F_q (identity embedding)."""
-        if self.q == self.order:
-            return range(self.order)
-        eta = self.power(self.gamma, (self.order - 1) // (self.q - 1))
-        out = [0]
-        x = 1
-        for _ in range(self.q - 1):
-            out.append(x)
-            x = self.mul(x, eta)
-        return sorted(out)
+        return range(self.q)
 
     def random_nonzero(self, rng):
         return 1 + rng.randrange(self.order - 1)
@@ -416,30 +407,6 @@ class Field:
 
 # ---------------------------------------------------------------------------
 # matrices and exact linear algebra (row lists of int codes)
-
-@dataclass
-class Matrix:
-    """Dense matrix over a field; data is a row-major list of row lists."""
-    field: object
-    data: list
-
-    @property
-    def nrows(self):
-        return len(self.data)
-
-    @property
-    def ncols(self):
-        return len(self.data[0]) if self.data else 0
-
-    def row(self, i):
-        return self.data[i]
-
-    def mul(self, other):
-        return Matrix(self.field, mat_mul(self.field, self.data, other.data))
-
-    def rank(self):
-        return rank(self.field, self.data)
-
 
 def mat_mul(field, a, b):
     add, mul = field.add, field.mul

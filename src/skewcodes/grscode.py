@@ -44,14 +44,16 @@ class GrsSpec:
 
         Shared by parity_check and the decoder; callers must not change them.
         """
-        fld = self.field
-        rows = []
-        powers = [1] * self.n
-        for _ in range(self.d - 1):
-            rows.append([fld.mul(p, v)
-                         for p, v in zip(powers, self.multipliers)])
-            powers = [fld.mul(p, a) for p, a in zip(powers, self.locators)]
-        return rows
+        return power_rows(self.field, self.locators, self.multipliers,
+                          self.d - 1)
+
+
+def power_rows(field, points, scales, count):
+    """The count x n matrix with rows (scale_j * x_j^i)_j, i < count."""
+    rows = [list(scales)] if count > 0 else []
+    for _ in range(count - 1):
+        rows.append([field.mul(c, x) for c, x in zip(rows[-1], points)])
+    return rows
 
 
 def default_spec(field, n, d, multipliers=None):
@@ -65,7 +67,7 @@ def default_spec(field, n, d, multipliers=None):
 
 def parity_check(spec):
     """(d-1) x n matrix H * diag(v); empty for d = 1 (full code)."""
-    return gf.Matrix(spec.field, [list(r) for r in spec.parity_rows])
+    return [list(r) for r in spec.parity_rows]
 
 
 def dual_multipliers(spec):
@@ -86,13 +88,8 @@ def dual_multipliers(spec):
 
 def generator_matrix(spec):
     """k x n generator of ker(H diag(v)): row i is (u_j alpha_j^i)_j."""
-    fld = spec.field
-    rows = []
-    powers = dual_multipliers(spec)
-    for _ in range(spec.k):
-        rows.append(list(powers))
-        powers = [fld.mul(p, a) for p, a in zip(powers, spec.locators)]
-    return gf.Matrix(fld, rows)
+    return power_rows(spec.field, spec.locators, dual_multipliers(spec),
+                      spec.k)
 
 
 @dataclass
@@ -108,14 +105,8 @@ class AlternantCode:
 
 def expanded_parity_check(spec):
     """The (d-1)m x n parity-check matrix over F_q."""
-    fld = spec.field
-    h = parity_check(spec).data
-    rows = []
-    for row in h:
-        coords = [fld.coords(x) for x in row]
-        for i in range(fld.m):
-            rows.append([c[i] for c in coords])
-    return rows
+    return [row for h in spec.parity_rows
+            for row in gf.expand_matrix(spec.field, h)]
 
 
 def subfield_subcode(spec):

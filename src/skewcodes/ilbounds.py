@@ -85,22 +85,11 @@ def maximize_convex_sum(a, b, c, B, s):
 
 def count_matrices(s_rows, t_cols, r_rank, q):
     """(M, N): all matrices of rank r, and those without zero columns."""
-    m = _m_count(s_rows, t_cols, r_rank, q)
+    m = metric.rank_count(s_rows, t_cols, r_rank, q)
     n = sum((-1) ** j * math.comb(t_cols, j)
-            * _m_count(s_rows, t_cols - j, r_rank, q)
+            * metric.rank_count(s_rows, t_cols - j, r_rank, q)
             for j in range(t_cols - r_rank + 1))
     return m, n
-
-
-def _m_count(s, n, r, q):
-    if r < 0 or r > min(s, n):
-        return 0
-    num = den = 1
-    for i in range(r):
-        num *= (q ** s - q ** i) * (q ** n - q ** i)
-        den *= q ** r - q ** i
-    assert num % den == 0
-    return num // den
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +103,6 @@ class BoundInputs:
     d: int            # designed distance of the GRS code
     s: int            # interleaving order
     t: int            # number of errors
-    kopt_policy: str = KOPT_FULL
 
     def __post_init__(self):
         if self.s < 1:
@@ -174,7 +162,7 @@ def bound_l_a(inputs):
     """L.A: alternant success lower bound (Theorem form)."""
     if inputs.t >= inputs.d:
         return None
-    return _la_terms(inputs, inputs.kopt_policy, simplified=False)
+    return _la_terms(inputs, KOPT_FULL, simplified=False)
 
 
 def bound_l_a1(inputs):
@@ -188,7 +176,7 @@ def bound_l_a2(inputs):
     """L.A2: simplified lower bound (drops the |L_0| correction)."""
     if inputs.t >= inputs.d:
         return None
-    return _la_terms(inputs, inputs.kopt_policy, simplified=True)
+    return _la_terms(inputs, KOPT_FULL, simplified=True)
 
 
 def bound_l_t(inputs):

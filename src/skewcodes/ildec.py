@@ -8,14 +8,13 @@ code locators.  The error columns then solve the square system
 sum_p v_p alpha_p^r E_{i,p} = s_{i,r}, r < t*, at those locators: it is
 invertible because the locators are distinct and nonzero, and the key
 equation makes the remaining syndromes agree, so its solution is the one
-Forney's formula gives.  A root outside the locator set, a non-unique
-solution, or a zero error column at a claimed position is a decoding
-failure, never an exception.
+Forney's formula gives.  A root outside the locator set or a non-unique
+solution is a decoding failure, never an exception.
 """
 
 from dataclasses import dataclass
 
-from . import gf
+from . import gf, grscode
 
 SUCCESS = "success"
 MISCORRECTION = "miscorrection"
@@ -54,6 +53,8 @@ def sample_burst(field, s, n, t, rng, support=None, subfield=False):
     The support is uniform over t-subsets unless fixed by the caller; each
     column is uniform over the q^s - 1 (or Q^s - 1) nonzero vectors.
     """
+    if s < 1:
+        raise ValueError(f"interleaving order s = {s} must be >= 1")
     if not 1 <= t <= n:
         raise ValueError("need 1 <= t <= n")
     if support is None:
@@ -108,7 +109,17 @@ def _key_system(syns, t):
 
 
 def joint_decode(rows, spec):
-    """Algorithm: zero syndromes return R; else scan minimal solvable t*."""
+    """Algorithm: zero syndromes return R; else scan minimal solvable t*.
+
+    No error column at the t* found locators is zero.  The key equation says
+    each syndrome row obeys the recurrence whose characteristic polynomial
+    g has those t* distinct roots, so s_{i,r} = sum_p c_{i,p} alpha_p^r for
+    every r < d-1, with c_{i,p} = v_p E_{i,p}.  A zero column at alpha_p
+    would leave every row a combination of t* - 1 geometric sequences,
+    which obey the recurrence of g / (y - alpha_p): for t* > 1 the system at
+    t* - 1 would then be solvable and the upward scan would have stopped
+    there, and for t* = 1 all syndromes would be zero.
+    """
     field = spec.field
     s = len(rows)
     syns = syndromes(field, rows, spec)
@@ -129,9 +140,6 @@ def joint_decode(rows, spec):
             return DecodeOutcome(FAILURE, None, t_star,
                                  "error locator roots not in the locator set")
         columns = _error_columns(field, spec, syns, positions)
-        if not all(any(col) for col in columns):
-            return DecodeOutcome(FAILURE, None, t_star,
-                                 "zero error column at a claimed position")
         decoded = [list(r) for r in rows]
         for p, col in zip(positions, columns):
             for row, e in zip(decoded, col):
@@ -213,12 +221,7 @@ def crux_oracle(error, spec, s):
     if t >= d - 1:
         return False     # condition vacuous: every nonzero v satisfies it
     locs = [spec.locators[p - 1] for p in error.support]
-    # (d-t-1) x t parity check of GRS at the error locators, unit multipliers
-    h = []
-    powers = [1] * t
-    for _ in range(d - t - 1):
-        h.append(list(powers))
-        powers = [field.mul(p, a) for p, a in zip(powers, locs)]
+    h = grscode.power_rows(field, locs, [1] * t, d - t - 1)
     stacked = []
     mul = field.mul
     for i in range(s):

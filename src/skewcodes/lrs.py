@@ -77,47 +77,41 @@ def default_spec(field, lengths, k):
 def code_locators(spec):
     """The n locators a_l beta_{l,t}^(q-1); checked P-independent."""
     fld = spec.field
-    locs = []
-    for a, block in zip(spec.representatives, spec.multipliers):
-        for b in block:
-            locs.append(fld.mul(a, fld.power(b, fld.q - 1)))
-    for l, block in enumerate(spec.multipliers):
-        a = spec.representatives[l]
-        part = [fld.mul(a, fld.power(b, fld.q - 1)) for b in block]
+    blocks = [[fld.mul(a, fld.power(b, fld.q - 1)) for b in block]
+              for a, block in zip(spec.representatives, spec.multipliers)]
+    for l, part in enumerate(blocks):
         if not skew.is_p_independent(spec.ring, part):
             raise ValueError(f"block {l + 1} locators are not P-independent")
+    locs = [x for part in blocks for x in part]
     if not skew.is_p_independent(spec.ring, locs):
         raise ValueError("locator set is not P-independent")
     return locs
 
 
 def generator_matrix(spec):
-    """k x n generator; entry (i, t of block l) is N_i(a_l) beta_{l,t}^(q^i)."""
-    fld = spec.field
+    """k x n generator; entry (i, t of block l) is N_i(a_l) beta_{l,t}^(q^i).
+
+    Each block reads its column norms from one norm sequence, and row i + 1
+    takes the multipliers of row i one Frobenius step further.
+    """
+    fld, ring = spec.field, spec.ring
+    norms = []
+    for a, block in zip(spec.representatives, spec.multipliers):
+        norms += [ring.norm_sequence(spec.k, a)] * len(block)
+    betas = spec.flat_multipliers()
     rows = []
     for i in range(spec.k):
-        row = []
-        for a, block in zip(spec.representatives, spec.multipliers):
-            ni = spec.ring.truncated_norm(i, a)
-            for b in block:
-                row.append(fld.mul(ni, fld.frob(b, i)))
-        rows.append(row)
-    return gf.Matrix(fld, rows)
+        if i:
+            betas = [ring.theta(b) for b in betas]
+        rows.append([fld.mul(col[i], b) for col, b in zip(norms, betas)])
+    return rows
 
 
 def encode(spec, message):
     """message * G; equals multiplier-scaled remainder evaluations."""
     if len(message) != spec.k:
         raise ValueError("message length must equal k")
-    fld = spec.field
-    gen = generator_matrix(spec).data
-    word = [0] * spec.n
-    for c, row in zip(message, gen):
-        if c:
-            for j, g in enumerate(row):
-                if g:
-                    word[j] = fld.add(word[j], fld.mul(c, g))
-    return word
+    return gf.mat_mul(spec.field, [message], generator_matrix(spec))[0]
 
 
 def encode_by_evaluation(spec, message):
@@ -132,7 +126,7 @@ def encode_by_evaluation(spec, message):
 def is_msrd(spec, partition=None):
     """Brute-force check that d_SR = n - k + 1 (guard q^(mk) <= 2^24)."""
     partition = partition or spec.partition
-    gen = generator_matrix(spec).data
+    gen = generator_matrix(spec)
     d = metric.min_distance_bruteforce(spec.field, gen, metric.SUMRANK,
                                        partition)
     return d == spec.n - spec.k + 1

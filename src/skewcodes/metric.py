@@ -122,25 +122,19 @@ def hamming_ball(n, radius, q):
     return sum(math.comb(n, i) * (q - 1) ** i for i in range(radius + 1))
 
 
+def rank_count(a, b, r, q):
+    """Number of a x b matrices over F_q of rank r; 0 outside 0..min(a, b)."""
+    if r < 0 or r > min(a, b):
+        return 0
+    out = q_binomial(a, r, q)
+    for i in range(r):
+        out *= q ** b - q ** i
+    return out
+
+
 def rank_ball(n, m, radius, q):
     """Vectors in F_{q^m}^n of rank weight <= radius."""
-    return sum(q_binomial(m, i, q) * _prod_qm(n, i, q)
-               for i in range(radius + 1))
-
-
-def _prod_qm(n, i, q):
-    out = 1
-    for j in range(i):
-        out *= q ** n - q ** j
-    return out
-
-
-def _rank_count_block(ni, m, s, q):
-    """Vectors in F_{q^m}^{ni} of rank weight exactly s."""
-    out = q_binomial(ni, s, q)
-    for j in range(s):
-        out *= q ** m - q ** j
-    return out
+    return sum(rank_count(m, n, i, q) for i in range(radius + 1))
 
 
 def sumrank_ball(partition, m, radius, q):
@@ -152,10 +146,7 @@ def sumrank_ball(partition, m, radius, q):
         for comp in compositions(s, partition.ell):
             term = 1
             for ni, si in zip(partition.parts, comp):
-                if si > ni:
-                    term = 0
-                    break
-                term *= _rank_count_block(ni, m, si, q)
+                term *= rank_count(ni, m, si, q)
             total += term
     return total
 

@@ -54,15 +54,12 @@ class SkewRing:
         return SkewPolynomial(self, [0] * degree + [coeff])
 
     def truncated_norm(self, i, a):
-        """N_i(a) with N_0=1, N_{i+1}(a) = theta(N_i(a))*a + delta(N_i(a))."""
-        f = self.field
-        n = 1
-        for _ in range(i):
-            n = f.add(f.mul(self.theta(n), a), self.delta(n))
-        return n
+        """N_i(a), the last entry of norm_sequence(i + 1, a)."""
+        return self.norm_sequence(i + 1, a)[-1]
 
     def norm_sequence(self, k, a):
-        """[N_0(a), ..., N_{k-1}(a)]."""
+        """[N_0(a), ..., N_{k-1}(a)]: N_0 = 1, N_{i+1}(a) = theta(N_i(a))*a
+        + delta(N_i(a))."""
         f = self.field
         out = [1]
         n = 1
@@ -376,7 +373,7 @@ def vandermonde(ring, omega, k=None):
     if k is None:
         k = len(omega)
     cols = [ring.norm_sequence(k, a) for a in omega]
-    return gf.Matrix(ring.field, [[col[i] for col in cols] for i in range(k)])
+    return [[col[i] for col in cols] for i in range(k)]
 
 
 def is_p_independent(ring, omega):
@@ -384,5 +381,4 @@ def is_p_independent(ring, omega):
     omega = list(omega)
     if not omega:
         return True
-    v = vandermonde(ring, omega)
-    return v.rank() == len(omega)
+    return gf.rank(ring.field, vandermonde(ring, omega)) == len(omega)

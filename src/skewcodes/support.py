@@ -1,9 +1,12 @@
 """Support-constrained LRS generators and the distributed-LRS designer.
 
 The GM condition |intersection of Z_i over Omega| + |Omega| <= k is checked
-over deduplicated row groups: a violating Omega exists iff its full-group
-closure violates, so searching the 2^(#distinct rows) closures is exact.
-Constrained generators come from minimal skew polynomials (row i of T holds
+by max-flow: for each anchor row, one min cut gives the least surplus
+|union of the complements [n] \\ Z_i| - |Omega| over the row sets Omega that
+contain it, and the condition holds iff every such surplus is >= n - k.
+gm_check_exhaustive, the test oracle, instead searches the closures of the
+deduplicated row groups (a violating Omega exists iff its full-group closure
+violates).  Constrained generators come from minimal skew polynomials (row i of T holds
 the coefficients of f_{Z_i}); the designer solves the covering ILP of the
 capacity and zero-constraint families exactly.
 """
@@ -201,8 +204,8 @@ def sufficient_extension_degree(k, q, lengths):
 
 @dataclass
 class ConstrainedResult:
-    t_matrix: gf.Matrix        # k x k transform, rows = minpoly coefficients
-    generator: gf.Matrix       # G = T * G_LRS with the prescribed zeros
+    t_matrix: list             # k x k transform, rows = minpoly coefficients
+    generator: list            # G = T * G_LRS with the prescribed zeros
     spec: lrs.LrsSpec
     pattern: ZeroPattern       # the padded pattern actually realized
     attempts: int
@@ -227,8 +230,7 @@ def _try_build(spec, padded):
         t_rows.append(coeffs)
     if gf.rank(fld, t_rows) != k:
         return None
-    g = gf.mat_mul(fld, t_rows, lrs.generator_matrix(spec).data)
-    return gf.Matrix(fld, t_rows), gf.Matrix(fld, g)
+    return t_rows, gf.mat_mul(fld, t_rows, lrs.generator_matrix(spec))
 
 
 def _resample_multipliers(spec, rng):
@@ -275,7 +277,7 @@ def build_constrained_generator(spec, pattern, rng=None, max_resamples=64):
 
 
 def _assert_zero_placement(g, pattern):
-    for i, row in enumerate(g.data):
+    for i, row in enumerate(g):
         zeros = {j + 1 for j, x in enumerate(row) if x == 0}
         if zeros != set(pattern.zeros[i]):
             raise AssertionError(
@@ -296,8 +298,7 @@ def build_subcode_generator(pattern, spec, rng=None, max_resamples=64):
                            list(pattern.zeros)
                            + [frozenset()] * (kt - pattern.k))
     result = build_constrained_generator(spec, extended, rng, max_resamples)
-    sub = gf.Matrix(spec.field, result.generator.data[:pattern.k])
-    return sub, result
+    return result.generator[:pattern.k], result
 
 
 # ---------------------------------------------------------------------------
@@ -341,8 +342,8 @@ class DesignResult:
     block_lengths: tuple
     pattern: ZeroPattern
     spec: lrs.LrsSpec
-    t_matrix: gf.Matrix
-    generator: gf.Matrix
+    t_matrix: list
+    generator: list
 
 
 class InfeasibleDesign(ValueError):
@@ -512,17 +513,12 @@ def lift(field, codeword_blocks):
     codeword_blocks is a list of F_{q^m}-vectors c_J; the result is the
     n x (n + m) matrix over F_q whose rows are the transmitted packets.
     """
-    base = field.base
-    m = field.m
-    sizes = [len(c) for c in codeword_blocks]
-    n = sum(sizes)
+    n = sum(len(c) for c in codeword_blocks)
     rows = []
-    offset = 0
     for c in codeword_blocks:
         expanded = gf.expand_matrix(field, c)   # m x n_J over F_q
         for t in range(len(c)):
-            row = [0] * n + [expanded[i][t] for i in range(m)]
-            row[offset + t] = 1
+            row = [0] * n + [coords[t] for coords in expanded]
+            row[len(rows)] = 1                  # the identity part
             rows.append(row)
-        offset += len(c)
-    return gf.Matrix(base, rows)
+    return rows

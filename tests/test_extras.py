@@ -92,7 +92,7 @@ def test_sumrank_distance_matches_hamming_of_diagonal_transforms():
     # code (the sum-rank Singleton equality condition, checked directly)
     fld = gf.field(3, 1, 2)
     spec = lrs.default_spec(fld, (2, 2), 2)
-    gen = lrs.generator_matrix(spec).data
+    gen = lrs.generator_matrix(spec)
     part = spec.partition
     d_sr = metric.min_distance_bruteforce(fld, gen, metric.SUMRANK, part)
     base = fld.base

@@ -178,6 +178,18 @@ def test_base_embedding_is_subfield():
         assert fld.add(a, b) in codes
 
 
+def test_base_elements_are_the_eta_powers():
+    # F_q* inside F_{q^m} is generated by eta = gamma^((q^m-1)/(q-1)); the
+    # last two fields have no tables
+    for fld in (F4, F9, F16, F8, gf.field(2, 3, 2), gf.field(3, 2, 2),
+                gf.field(5, 1, 2), gf.field(7, 1, 1), gf.field(3, 1, 5),
+                gf.field(2, 3, 7), gf.field(3, 2, 7)):
+        eta = fld.power(fld.gamma, (fld.order - 1) // (fld.q - 1))
+        powers = {fld.power(eta, i) for i in range(fld.q - 1)}
+        assert set(fld.base_elements()) == powers | {0}
+        assert len(fld.base_elements()) == fld.q
+
+
 def test_no_table_field_matches_table_field():
     # force the polynomial-arithmetic path on small fields and cross-check,
     # in characteristic 2 and in odd characteristic over one and two levels

@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from skewcodes import gf, grscode, ildec
@@ -15,7 +16,7 @@ def add_rows(field, a, b):
 
 
 def random_codeword_rows(field, spec, s, rng):
-    gen = grscode.generator_matrix(spec).data
+    gen = grscode.generator_matrix(spec)
     rows = []
     for _ in range(s):
         word = [0] * spec.n
@@ -36,6 +37,12 @@ def test_sample_burst_full_support_and_nonzero_columns():
         err = ildec.sample_burst(F8, 2, 6, 3, rng)
         assert len(err.support) == 3
         assert all(any(col) for col in err.columns)
+
+
+def test_sample_burst_rejects_s_below_one():
+    # with s = 0 every column is empty, so no nonzero column exists
+    with pytest.raises(ValueError, match="s = 0"):
+        ildec.sample_burst(F8, 0, 5, 2, random.Random(0))
 
 
 def test_sample_burst_column_marginal_uniform():
@@ -89,7 +96,7 @@ def test_single_row_classical_correction_vs_nearest_codeword():
     # exhaustive nearest-codeword search on n = 7, q = 8, d = 5
     rng = random.Random(4)
     spec = grscode.default_spec(F8, 7, 5)
-    gen = grscode.generator_matrix(spec).data
+    gen = grscode.generator_matrix(spec)
     codewords = []
     for msg in itertools.product(F8.elements(), repeat=spec.k):
         word = [0] * 7
@@ -323,4 +330,7 @@ def test_decoder_matches_scan_forney_reference(data):
     else:
         rows = [[rng.randrange(fld.order) for _ in range(n)]
                 for _ in range(s)]
-    assert ildec.joint_decode(rows, spec) == _reference_decode(rows, spec)
+    expected = _reference_decode(rows, spec)
+    # joint_decode proves this failure unreachable and no longer reports it
+    assert expected.reason != "zero error column at a claimed position"
+    assert ildec.joint_decode(rows, spec) == expected

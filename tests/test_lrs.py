@@ -25,7 +25,7 @@ def test_glrs_example_locators_and_matrix():
     locs = lrs.code_locators(spec)
     want = [0, 3, 6, 9, 4, 7, 10, 13, 8, 11, 14, 17]
     assert locs == [fld.power(g, e) for e in want]
-    gen = lrs.generator_matrix(spec).data
+    gen = lrs.generator_matrix(spec)
     want_rows = [
         [0, 1, 2, 3, 1, 2, 3, 4, 2, 3, 4, 5],
         [0, 4, 8, 12, 5, 9, 13, 17, 10, 14, 18, 22],
@@ -44,7 +44,7 @@ def test_locator_set_p_independent():
 
 def test_k1_generator_is_multiplier_row():
     spec = lrs.default_spec(F9, (2, 2), 1)
-    gen = lrs.generator_matrix(spec).data
+    gen = lrs.generator_matrix(spec)
     assert gen == [spec.flat_multipliers()]
 
 
@@ -82,7 +82,7 @@ def test_encoding_linear():
 def test_msrd_42_over_f9():
     spec = lrs.default_spec(F9, (2, 2), 2)
     assert lrs.is_msrd(spec)
-    gen = lrs.generator_matrix(spec).data
+    gen = lrs.generator_matrix(spec)
     d = metric.min_distance_bruteforce(F9, gen, metric.SUMRANK,
                                        spec.partition)
     assert d == 3 == spec.n - spec.k + 1
@@ -119,7 +119,7 @@ def test_punctured_blocks_are_mrd():
     # each block submatrix generates an MRD code: rank distance n_l - k + 1
     fld = F9
     spec = lrs.default_spec(fld, (2, 2), 2)
-    gen = lrs.generator_matrix(spec).data
+    gen = lrs.generator_matrix(spec)
     start = 0
     for nl in spec.lengths:
         block = [row[start:start + nl] for row in gen]
@@ -136,7 +136,7 @@ def test_identity_theta_single_columns_degenerates_to_grs():
                        representatives=[1, fld.gamma,
                                         fld.mul(fld.gamma, fld.gamma)],
                        multipliers=[[1], [1], [1]])
-    gen = lrs.generator_matrix(spec).data
+    gen = lrs.generator_matrix(spec)
     locs = lrs.code_locators(spec)
     for i, row in enumerate(gen):
         assert row == [fld.power(a, i) for a in locs]

@@ -122,14 +122,14 @@ def test_constrained_generator_tiny():
     pattern = support.ZeroPattern(3, [{1}, {2}])
     result = support.build_constrained_generator(spec, pattern,
                                                  random.Random(1))
-    g = result.generator.data
+    g = result.generator
     for i, row in enumerate(g):
         zeros = {j + 1 for j, x in enumerate(row) if x == 0}
         assert zeros == set(result.pattern.zeros[i])
         assert set(pattern.zeros[i]) <= zeros
     # T invertible and row spaces agree: <G> = <G_LRS>
-    assert result.t_matrix.rank() == 2
-    stacked = g + lrs.generator_matrix(result.spec).data
+    assert gf.rank(fld, result.t_matrix) == 2
+    stacked = g + lrs.generator_matrix(result.spec)
     assert gf.rank(fld, stacked) == 2
 
 
@@ -150,10 +150,10 @@ def test_subcode_generator_distance():
     assert kt == 3
     spec = lrs.default_spec(fld, (3, 1), kt)
     gen, _ = support.build_subcode_generator(pattern, spec, random.Random(2))
-    for i, row in enumerate(gen.data):
+    for i, row in enumerate(gen):
         for j in pattern.zeros[i]:
             assert row[j - 1] == 0
-    d = metric.min_distance_bruteforce(fld, gen.data, metric.SUMRANK,
+    d = metric.min_distance_bruteforce(fld, gen, metric.SUMRANK,
                                        spec.partition)
     assert d >= pattern.n - kt + 1
 
@@ -246,13 +246,13 @@ def test_lift_shapes_and_zero_blocks():
     blocks = [[0, 0], [0]]
     x = support.lift(fld, blocks)
     n, m = 3, 3
-    assert x.nrows == n and x.ncols == n + m
-    for i, row in enumerate(x.data):
+    assert len(x) == n and len(x[0]) == n + m
+    for i, row in enumerate(x):
         assert row[:n] == [1 if j == i else 0 for j in range(n)]
         assert all(v == 0 for v in row[n:])
     # nonzero payload appears for nonzero codewords
     y = support.lift(fld, [[fld.gamma, 1], [3]])
-    assert any(any(v for v in row[n:]) for row in y.data)
+    assert any(any(v for v in row[n:]) for row in y)
 
 
 def test_lift_error_sumrank_bound():
