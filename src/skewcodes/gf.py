@@ -345,9 +345,6 @@ class Field:
             return self.exp[(-self.log[x]) % (self.order - 1)]
         return self._poly_pow(x, self.order - 2)
 
-    def div(self, x, y):
-        return self.mul(x, self.inv(y))
-
     def power(self, x, n):
         """x^n for any integer n (negative n inverts a nonzero x)."""
         if x == 0:

@@ -2,14 +2,17 @@
 codes, plus the two analytical success oracles.
 
 The key-equation system S(t) x = -T(t) stacks per-row Hankel blocks of
-syndromes s_{i,r} = sum_p E_{i,p} v_p alpha_p^r, r < d-1.  A solution x
-defines the monic g(y) = y^t + sum x_l y^l whose roots must be t* distinct
-code locators.  The error columns then solve the square system
-sum_p v_p alpha_p^r E_{i,p} = s_{i,r}, r < t*, at those locators: it is
-invertible because the locators are distinct and nonzero, and the key
-equation makes the remaining syndromes agree, so its solution is the one
-Forney's formula gives.  A root outside the locator set or a non-unique
-solution is a decoding failure, never an exception.
+syndromes s_{i,r} = sum_p E_{i,p} v_p alpha_p^r, r < d-1.  The decoder
+takes the least solvable t*: the length of the shortest linear recurrence
+that generates every syndrome row, which multi-sequence shift-register
+synthesis finds in O(s (d-1)^2) field operations, so the system is solved
+at t* only.  Its solution x defines the monic g(y) = y^t* + sum x_l y^l
+whose roots must be t* distinct code locators.  The error columns then
+solve the square system sum_p v_p alpha_p^r E_{i,p} = s_{i,r}, r < t*, at
+those locators: it is invertible because the locators are distinct and
+nonzero, and the key equation makes the remaining syndromes agree, so its
+solution is the one Forney's formula gives.  A root outside the locator
+set or a non-unique solution is a decoding failure, never an exception.
 """
 
 from dataclasses import dataclass
@@ -108,8 +111,53 @@ def _key_system(syns, t):
     return rows, rhs
 
 
+def _recurrence_length(field, syns):
+    """Length of the shortest linear recurrence that generates every row.
+
+    Multi-sequence shift-register synthesis (Feng and Tzeng 1991; Schmidt,
+    Sidorenko and Bossert 2009): time runs first, then each row in turn.
+    The connection polynomial lam (lam[0] = 1) generates every row up to
+    the current time; each row l keeps an auxiliary (b, db, m, lb), the lam,
+    discrepancy, time and length stored when row l last made the length
+    grow, starting at (1, 1, -1, 0).  A nonzero discrepancy delta of row l
+    at time n is cancelled by lam - (delta / db) x^(n - m) b, which needs
+    length max(length, n - m + lb).  With all rows of length N the result
+    is the least t at which S(t) x = -T(t) is solvable (0 for zero rows,
+    N when no t < N is).
+    """
+    add, mul, neg, inv = field.add, field.mul, field.neg, field.inv
+    lam, length = [1], 0
+    aux = [([1], 1, -1, 0) for _ in syns]
+    for n in range(len(syns[0])):
+        for l, syn in enumerate(syns):
+            delta = 0
+            for c, x in zip(lam, syn[n::-1]):
+                if c and x:
+                    delta = add(delta, mul(c, x))
+            if delta == 0:
+                continue
+            b, db, m, lb = aux[l]
+            shift = n - m
+            f = neg(mul(delta, inv(db)))
+            new = lam + [0] * (shift + len(b) - len(lam))
+            for i, c in enumerate(b):
+                if c:
+                    new[i + shift] = add(new[i + shift], mul(f, c))
+            if shift + lb > length:
+                aux[l] = (lam, delta, n, length)
+                length = shift + lb
+            lam = new
+    return length
+
+
 def joint_decode(rows, spec):
-    """Algorithm: zero syndromes return R; else scan minimal solvable t*.
+    """Algorithm: zero syndromes return R; else solve the key equation at t*.
+
+    t* is the least t at which S(t) x = -T(t) is solvable, found by
+    _recurrence_length without solving at any other t.  Solvability is
+    monotone in t (if g works at t, y g works at t + 1), so t* beyond the
+    radius means no t within it is solvable.  The one solve at t* decides
+    uniqueness (an empty kernel) and gives the locator polynomial g.
 
     No error column at the t* found locators is zero.  The key equation says
     each syndrome row obeys the recurrence whose characteristic polynomial
@@ -117,8 +165,8 @@ def joint_decode(rows, spec):
     every r < d-1, with c_{i,p} = v_p E_{i,p}.  A zero column at alpha_p
     would leave every row a combination of t* - 1 geometric sequences,
     which obey the recurrence of g / (y - alpha_p): for t* > 1 the system at
-    t* - 1 would then be solvable and the upward scan would have stopped
-    there, and for t* = 1 all syndromes would be zero.
+    t* - 1 would then be solvable, against the minimality of t*, and for
+    t* = 1 all syndromes would be zero.
     """
     field = spec.field
     s = len(rows)
@@ -126,27 +174,25 @@ def joint_decode(rows, spec):
     if all(all(x == 0 for x in syn) for syn in syns):
         return DecodeOutcome(SUCCESS, [list(r) for r in rows], 0)
     tmax = t_max_radius(spec.d, s)
-    for t_star in range(1, tmax + 1):
-        system, rhs = _key_system(syns, t_star)
-        solved = gf.solve(field, system, [field.neg(b) for b in rhs])
-        if solved is None:
-            continue
-        x, kernel = solved
-        if kernel:
-            return DecodeOutcome(FAILURE, None, t_star,
-                                 "non-unique key-equation solution")
-        positions = _locator_roots(field, spec, x, t_star)
-        if positions is None:
-            return DecodeOutcome(FAILURE, None, t_star,
-                                 "error locator roots not in the locator set")
-        columns = _error_columns(field, spec, syns, positions)
-        decoded = [list(r) for r in rows]
-        for p, col in zip(positions, columns):
-            for row, e in zip(decoded, col):
-                row[p] = field.sub(row[p], e)
-        return DecodeOutcome(SUCCESS, decoded, t_star)
-    return DecodeOutcome(FAILURE, None, None, "no solvable key equation "
-                         f"within the radius {tmax}")
+    t_star = _recurrence_length(field, syns)
+    if t_star > tmax:
+        return DecodeOutcome(FAILURE, None, None, "no solvable key equation "
+                             f"within the radius {tmax}")
+    system, rhs = _key_system(syns, t_star)
+    x, kernel = gf.solve(field, system, [field.neg(b) for b in rhs])
+    if kernel:
+        return DecodeOutcome(FAILURE, None, t_star,
+                             "non-unique key-equation solution")
+    positions = _locator_roots(field, spec, x, t_star)
+    if positions is None:
+        return DecodeOutcome(FAILURE, None, t_star,
+                             "error locator roots not in the locator set")
+    columns = _error_columns(field, spec, syns, positions)
+    decoded = [list(r) for r in rows]
+    for p, col in zip(positions, columns):
+        for row, e in zip(decoded, col):
+            row[p] = field.sub(row[p], e)
+    return DecodeOutcome(SUCCESS, decoded, t_star)
 
 
 def _locator_roots(field, spec, x, t):

@@ -174,6 +174,8 @@ def classical_bounds(metric, n, d, q, m=1, partition=None):
         raise ValueError(f"q = {q} is not a prime power")
     if not 1 <= d <= n:
         raise ValueError("need 1 <= d <= n")
+    if metric in (RANK, SUMRANK) and m < 1:
+        raise ValueError(f"extension degree m = {m} must be >= 1")
     t = (d - 1) // 2
     reports = []
     if metric == HAMMING:

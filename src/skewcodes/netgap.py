@@ -281,6 +281,13 @@ def gap_bounds(params):
         t_a += 1
     # lower bound: log2 q_s lower - t_delta (resp. t_star)
     if first_case:
+        # f(t) = (slope - eps) eps t^2 + slope t + 1 must grow for t_delta
+        # to exist; g always grows in the second case (h < 2 ell + eps)
+        slope = p.alpha * p.ell + 2 * p.eps - p.h
+        curvature = (slope - p.eps) * p.eps
+        if curvature < 0 or (curvature == 0 and slope <= 0):
+            raise ValueError(f"f(t) = {curvature} t^2 + {slope} t + 1 does "
+                             "not grow with t, so t_delta is undefined")
         qs_lb_log2 = qt_necessary_log2(params, 1)
         target = math.log2(p.r) - math.log2(p.beta)
         t_delta = 1

@@ -89,6 +89,17 @@ def test_netgap_command(tmp_path):
     assert payload["gap"]["gap_lb"] <= payload["gap"]["gap_ub"]
 
 
+def test_netgap_rejects_constant_f(capsys):
+    # alpha*ell + eps - h = 0 and eps = 0 make f(t) = 1, and the t_delta
+    # search of gap_bounds used to run forever
+    argv = ["netgap", "--h", "9", "--r", "4", "--alpha", "9", "--ell", "1",
+            "--eps", "0", "--q", "9"]
+    assert cli.main(argv) == cli.EXIT_INFEASIBLE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "does not grow with t" in err
+
+
 def test_il_sim_scan(tmp_path):
     out = tmp_path / "scan.json"
     code = cli.main(["--seed", "5", "--out", str(out), "il-sim",
@@ -148,12 +159,17 @@ def test_bounds_table(tmp_path):
 
 
 def test_bounds_table_rejects_bad_partition_and_q(capsys):
-    # both used to print bounds and exit 0
+    # the first two and m = 0 used to print bounds and exit 0, and m = -1
+    # to exit 3 with "both arguments should be Rational instances"
     for args, bad in ((["--metric", "sumrank", "--n", "8", "--d", "3",
                         "--q", "2", "--m", "4", "--partition", "4 3"],
                        "[4, 3] sums to 7, not n = 8"),
                       (["--metric", "hamming", "--n", "7", "--d", "3",
-                        "--q", "6"], "q = 6 is not a prime power")):
+                        "--q", "6"], "q = 6 is not a prime power"),
+                      (["--metric", "rank", "--n", "9", "--d", "9",
+                        "--q", "3", "--m", "-1"], "m = -1 must be >= 1"),
+                      (["--metric", "rank", "--n", "3", "--d", "2",
+                        "--q", "3", "--m", "0"], "m = 0 must be >= 1")):
         assert cli.main(["bounds-table"] + args) == cli.EXIT_INFEASIBLE
         out, err = capsys.readouterr()
         assert out == ""

@@ -213,6 +213,53 @@ def test_oracles_match_decoder_extension_errors():
             assert got == ildec.crux_oracle(err, spec, s)
 
 
+def _scan_recurrence_length(field, syns):
+    """Least t at which S(t) x = -T(t) is solvable, by an upward scan."""
+    t = 0
+    while True:
+        system, rhs = ildec._key_system(syns, t)
+        if gf.solve(field, system, [field.neg(b) for b in rhs]) is not None:
+            return t
+        t += 1
+
+
+SYNDROME_FIELDS = (gf.field(2, 1, 1), gf.field(3, 1, 1), gf.field(2, 1, 2),
+                   gf.field(5, 1, 1), F8)
+
+
+@settings(max_examples=400)
+@given(st.data())
+def test_recurrence_length_is_least_solvable_t(data):
+    fld = data.draw(st.sampled_from(SYNDROME_FIELDS))
+    s = data.draw(st.integers(1, 4))
+    length = data.draw(st.integers(1, 12))
+    elem = st.integers(0, fld.order - 1)
+    # near-recurrent rows follow one shared recurrence of a drawn order
+    # from drawn initial values, then get up to two entries overwritten
+    order = data.draw(st.integers(0, length))
+    conn = data.draw(st.lists(elem, min_size=order, max_size=order))
+    syns = []
+    for _ in range(s):
+        kind = data.draw(st.sampled_from(("zero", "random", "recurrent")))
+        if kind == "zero":
+            row = [0] * length
+        elif kind == "random":
+            row = data.draw(st.lists(elem, min_size=length,
+                                     max_size=length))
+        else:
+            row = data.draw(st.lists(elem, min_size=order, max_size=order))
+            while len(row) < length:
+                acc = 0
+                for c, x in zip(conn, row[len(row) - order:]):
+                    acc = fld.add(acc, fld.mul(c, x))
+                row.append(acc)
+            for _ in range(data.draw(st.integers(0, 2))):
+                row[data.draw(st.integers(0, length - 1))] = data.draw(elem)
+        syns.append(row)
+    assert ildec._recurrence_length(fld, syns) == \
+        _scan_recurrence_length(fld, syns)
+
+
 # ---------------------------------------------------------------------------
 # the earlier decoder, kept as the reference: key equation read from its own
 # rref, error values by Forney's formula, syndromes from a power table
