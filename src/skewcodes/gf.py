@@ -8,8 +8,12 @@ smallest monic irreducible polynomial of its degree over the level below
 by Rabin's test), so a degree-1 level has modulus x.  The primitive element
 gamma is the smallest element of full multiplicative order, so field tables
 are reproducible across runs.  Fields up to 2^20 elements carry full
-log/antilog tables; larger fields fall back to polynomial arithmetic over
-the level below.
+log/antilog tables, filled by a chunked gamma-walk: multiplication by gamma
+is F_p-linear on codes, so each step is two lookups over the low and high
+halves of the code's base-p digits, combined by XOR in characteristic 2 and
+by a digit-wise sum table otherwise.  Larger fields fall back to polynomial
+arithmetic over the level below, with inverses by the extended Euclidean
+algorithm and the Frobenius as an F_p-linear map on the digits.
 
 Element codes are plain ints: an element sum(c_i * z^i) with c_i in F_q is
 encoded as sum(code(c_i) * q^i), and a base-field element sum(b_j * x^j) with
@@ -82,18 +86,25 @@ def _poly_sub(F, a, b):
                        for x, y in itertools.zip_longest(a, b, fillvalue=0)])
 
 
-def _poly_rem(F, a, mod):
+def _poly_divmod(F, a, mod):
+    """(quotient, remainder) of a divided by a nonzero mod."""
     a = list(a)
     dm = len(mod) - 1
     inv_lead = F.inv(mod[-1])
+    quot = [0] * max(0, len(a) - dm)
     while len(a) > dm:
         c = a.pop()
         if c:
             f = F.mul(c, inv_lead)
             shift = len(a) - dm
+            quot[shift] = f
             for i in range(dm):
                 a[shift + i] = F.sub(a[shift + i], F.mul(f, mod[i]))
-    return _poly_trim(a)
+    return quot, _poly_trim(a)
+
+
+def _poly_rem(F, a, mod):
+    return _poly_divmod(F, a, mod)[1]
 
 
 def _poly_mulmod(F, a, b, mod):
@@ -118,6 +129,22 @@ def _poly_powmod(F, a, n, mod):
         a = _poly_mulmod(F, a, a, mod)
         n >>= 1
     return result
+
+
+def _poly_inv(F, a, mod):
+    """Inverse of a nonzero a modulo an irreducible mod.
+
+    Extended Euclidean algorithm: s_i * a = r_i (mod mod) holds for every
+    remainder r_i, and the last nonzero one is a constant.
+    """
+    r0, r1 = list(mod), _poly_trim(list(a))
+    s0, s1 = [], [1]
+    while len(r1) > 1:
+        quot, rem = _poly_divmod(F, r0, r1)
+        r0, r1 = r1, rem
+        s0, s1 = s1, _poly_sub(F, s0, _poly_mulmod(F, quot, s1, mod))
+    f = F.inv(r1[0])
+    return [F.mul(f, c) for c in s1]
 
 
 def _poly_gcd(F, a, b):
@@ -156,6 +183,30 @@ def _undigits(digits, b):
     for d in reversed(digits):
         code = code * b + d
     return code
+
+
+def _chunks(codes, P):
+    """Three lists: the base-P digits 0, 1 and the rest of every code."""
+    return ([y % P for y in codes], [y // P % P for y in codes],
+            [y // (P * P) for y in codes])
+
+
+def _digit_add_table(p, c):
+    """Digit-wise sums mod p of c-digit base-p codes, as rows: add[a][b].
+
+    Built one top digit at a time from the table of one digit less.  Every
+    entry is one of the p^c int objects in `vals`, so an entry costs one
+    pointer.
+    """
+    vals = list(range(p ** c))
+    add = [[vals[(a + b) % p] for b in range(p)] for a in range(p)]
+    size = p
+    for _ in range(c - 1):
+        add = [[vals[v + size * ((a_top + b_top) % p)]
+                for b_top in range(p) for v in row]
+               for a_top in range(p) for row in add]
+        size *= p
+    return add
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +264,7 @@ class Field:
         if self.has_tables:
             self._build_tables()
         self.basis = tuple(self.q ** i for i in range(m))
+        self._frob_maps = []       # sigma^1, sigma^2, ... as they are needed
 
     # -- construction helpers ------------------------------------------------
 
@@ -263,40 +315,75 @@ class Field:
                 return cand
         return 1  # order == 2
 
-    def _build_tables(self):
-        # Multiplication by gamma is F_p-linear and codes are F_p-coordinates,
-        # so each step combines the images of the unit codes p^j.
-        n1, p, dim = self.order - 1, self.p, self.dim
-        exp = [0] * n1
-        log = [0] * self.order
-        x = 1
+    def _linear_map(self, f):
+        """An F_p-linear map f on codes, as a function read from the images
+        f(p^i) of the unit codes, i < dim.
+
+        Codes are F_p-coordinates, so f(x) sums digit_i(x) * f(p^i): an XOR
+        of images in characteristic 2, else digit-wise sums mod p.
+        """
+        p, dim = self.p, self.dim
+        images = [f(p ** i) for i in range(dim)]
         if p == 2:
-            images = [self._poly_mul(1 << j, self.gamma) for j in range(dim)]
-            for i in range(n1):
-                exp[i] = x
-                log[x] = i
-                y, x = x, 0
-                while y:
-                    low = y & -y
-                    x ^= images[low.bit_length() - 1]
-                    y ^= low
+            def apply(x):
+                y = 0
+                while x:
+                    low = x & -x
+                    y ^= images[low.bit_length() - 1]
+                    x ^= low
+                return y
         else:
-            images = [_digits(self._poly_mul(p ** j, self.gamma), p, dim)
-                      for j in range(dim)]
-            vec = _digits(1, p, dim)
+            # row t holds digit t of every image
+            rows = list(zip(*(_digits(y, p, dim) for y in images)))
+
+            def apply(x):
+                xd = _digits(x, p, dim)
+                return _undigits([sum(map(int.__mul__, xd, row)) % p
+                                  for row in rows], p)
+        return apply
+
+    def _build_tables(self):
+        # The gamma-walk: step i stores gamma^i and multiplies by gamma.
+        # Multiplication by gamma is F_p-linear, so a code x = lo + P * hi
+        # with lo its c = dim // 2 low base-p digits (P = p^c) maps to
+        # lo_part[lo] + hi_part[hi]: two lookups and one field addition.
+        n1, p, dim, g = self.order - 1, self.p, self.dim, self.gamma
+        self.exp = exp = [0] * n1
+        self.log = log = [0] * self.order
+        if dim == 1:
+            x = 1
             for i in range(n1):
                 exp[i] = x
                 log[x] = i
-                acc = [0] * dim
-                for j, c in enumerate(vec):
-                    if c:
-                        img = images[j]
-                        for t in range(dim):
-                            acc[t] = (acc[t] + c * img[t]) % p
-                vec = acc
-                x = _undigits(acc, p)
-        self.exp = exp
-        self.log = log
+                x = x * g % p
+            return
+        times_gamma = self._linear_map(lambda u: self._poly_mul(u, g))
+        c = dim // 2
+        P = p ** c
+        lo_part = [times_gamma(v) for v in range(P)]
+        hi_part = [times_gamma(v * P) for v in range(self.order // P)]
+        if p == 2:
+            x, mask = 1, P - 1
+            for i in range(n1):
+                exp[i] = x
+                log[x] = i
+                x = lo_part[x & mask] ^ hi_part[x >> c]
+        else:
+            # The walk keeps x as its chunk codes lo and hi = mid + P * top
+            # (top is one digit when dim is odd, else 0) and adds chunk by
+            # chunk through one digit-wise sum table of P * P entries; the
+            # parts of lo_part are kept as their rows of that table.
+            add = _digit_add_table(p, c)
+            a_lo, a_mid, a_top = ([add[y] for y in ys]
+                                  for ys in _chunks(lo_part, P))
+            b_lo, b_mid, b_top = _chunks(hi_part, P)
+            lo, hi = 1, 0
+            for i in range(n1):
+                x = lo + P * hi
+                exp[i] = x
+                log[x] = i
+                lo, hi = (a_lo[lo][b_lo[hi]],
+                          a_mid[lo][b_mid[hi]] + P * a_top[lo][b_top[hi]])
 
     # -- arithmetic on codes ---------------------------------------------------
 
@@ -343,7 +430,22 @@ class Field:
             raise ZeroDivisionError("inversion of zero")
         if self.has_tables:
             return self.exp[(-self.log[x]) % (self.order - 1)]
-        return self._poly_pow(x, self.order - 2)
+        if self.base is None:
+            return pow(x, -1, self.p)
+        if self._gf2:
+            # extended Euclid on carry-less products: g * x = u and
+            # h * x = v modulo the modulus, until u = 1
+            u, v, g, h = x, self._gf2_mod, 1, 0
+            while u != 1:
+                j = u.bit_length() - v.bit_length()
+                if j < 0:
+                    u, v, g, h, j = v, u, h, g, -j
+                u ^= v << j
+                g ^= h << j
+            return g
+        q = self.q
+        return _undigits(_poly_inv(self.base, _digits(x, q, self.m),
+                                   self.modulus), q)
 
     def power(self, x, n):
         """x^n for any integer n (negative n inverts a nonzero x)."""
@@ -361,14 +463,23 @@ class Field:
     def frob(self, x, j=1):
         """Frobenius sigma^j: x -> x^(q^j); j may be any integer."""
         j %= self.m
-        if x == 0:
-            return 0
+        if x == 0 or j == 0:
+            return x
         if self.has_tables:
             return self.exp[(self.log[x] * pow(self.q, j, self.order - 1))
                             % (self.order - 1)]
-        for _ in range(j):
-            x = self._poly_pow(x, self.q)
-        return x
+        return self._frobenius(j)(x)
+
+    def _frobenius(self, j):
+        """sigma^j on codes for 0 < j < m, an F_q-linear map built once."""
+        maps = self._frob_maps
+        if not maps:
+            maps.append(self._linear_map(lambda u: self._poly_pow(u, self.q)))
+        sigma = maps[0]
+        while len(maps) < j:
+            prev = maps[-1]
+            maps.append(self._linear_map(lambda u: sigma(prev(u))))
+        return maps[j - 1]
 
     def norm(self, x):
         """Field norm onto F_q: x^((q^m-1)/(q-1)); result is a base code."""

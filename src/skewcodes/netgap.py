@@ -30,6 +30,8 @@ class CombNetParams:
     def __post_init__(self):
         if self.alpha < 1 or self.ell < 1 or self.t < 1 or self.eps < 0:
             raise ValueError("need alpha, ell, t >= 1 and eps >= 0")
+        if self.r < 1:
+            raise ValueError(f"r = {self.r} must be >= 1")
         if gf.prime_power(self.q) is None:
             raise ValueError("q must be a prime power")
 

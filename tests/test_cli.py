@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from skewcodes import cli
 
 
@@ -98,6 +100,17 @@ def test_netgap_rejects_constant_f(capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert "does not grow with t" in err
+
+
+@pytest.mark.parametrize("r", ["0", "-3"])
+def test_netgap_rejects_r_below_one(capsys, r):
+    # r reached math.log2 in gap_bounds and failed with "math domain error"
+    argv = ["netgap", "--h", "9", "--r", r, "--alpha", "9", "--ell", "1",
+            "--eps", "1", "--q", "9"]
+    assert cli.main(argv) == cli.EXIT_INFEASIBLE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"r = {r} must be >= 1" in err
 
 
 def test_il_sim_scan(tmp_path):

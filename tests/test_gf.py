@@ -252,6 +252,17 @@ PINNED_TABLES = {
                 "f2adb4ceabea3e1382fe0087ac9c350b",
     (13, 1, 2): "2b7d70c0c31dbc7f072022dde38a4730"
                 "23a0cf110386cdf0900842cebb10a2c1",
+    # the large tables, recorded from the per-element digit-loop build
+    (2, 1, 20): "c7427a749ccbb6db4562e5a60e496819"
+                "31be8350dc236d68fdb214bab1615b5e",
+    (2, 2, 10): "db61474524061f57e9632029685eb837"
+                "db6f56d06e5fd73e6c2c4b8d0cea8d6f",
+    (3, 1, 12): "42b002de737569d4401f6afe1473799f"
+                "e56e49f0b2980c488c0386280ed12615",
+    (3, 1, 11): "ac6d397a55d0af2d6ddea891daa3ce67"
+                "5b530fd20101de870cc33df02a4735dd",
+    (5, 2, 4): "90366d95dba9cc2d717c14a9cdf3f1a3"
+               "c368a41863a0b9d4f60378d8f4b6b258",
 }
 
 PINNED_NO_TABLES = {
@@ -268,6 +279,75 @@ def test_tables_pinned(key):
     base = fld.base
     assert _digest(fld.gamma, fld.exp, fld.log,
                    base.gamma, base.exp, base.log) == PINNED_TABLES[key]
+
+
+def _digit_loop_tables(fld):
+    """exp and log by the per-element digit loop that the chunked gamma-walk
+    of Field._build_tables replaced: each step recombines the dim digit
+    images of gamma * p^j."""
+    n1, p, dim = fld.order - 1, fld.p, fld.dim
+    exp = [0] * n1
+    log = [0] * fld.order
+    x = 1
+    images = [gf._digits(fld._poly_mul(p ** j, fld.gamma), p, dim)
+              for j in range(dim)]
+    vec = gf._digits(1, p, dim)
+    for i in range(n1):
+        exp[i] = x
+        log[x] = i
+        acc = [0] * dim
+        for j, c in enumerate(vec):
+            if c:
+                for t in range(dim):
+                    acc[t] = (acc[t] + c * images[j][t]) % p
+        vec = acc
+        x = gf._undigits(acc, p)
+    return exp, log
+
+
+# Chunk shapes of the walk: dim 1 (prime fields and degree-1 extensions),
+# even dim, odd dim (a one-digit top chunk), in characteristic 2 and odd,
+# and towers over a non-prime base.
+TABLE_ORACLE_FIELDS = (
+    gf.Field(2), gf.Field(7), gf.Field(101), gf.field(7, 1, 1),
+    gf.field(2, 1, 2), gf.field(3, 1, 2), gf.field(2, 1, 8), gf.field(3, 1, 6),
+    gf.field(5, 2, 2), gf.field(2, 1, 7), gf.field(3, 1, 5), gf.field(5, 1, 3),
+    gf.field(7, 1, 3), gf.field(3, 2, 3), gf.field(2, 2, 5), gf.field(7, 1, 5),
+)
+
+
+@pytest.mark.parametrize("fld", TABLE_ORACLE_FIELDS, ids=repr)
+def test_tables_match_digit_loop(fld):
+    assert fld.has_tables
+    exp, log = _digit_loop_tables(fld)
+    assert fld.exp == exp
+    assert fld.log == log
+
+
+@pytest.mark.parametrize("key", [(7, 1, 11), (2, 1, 33), (3, 2, 7)])
+def test_no_table_frobenius_matches_powering(key):
+    fld = gf.field(*key)
+    assert not fld.has_tables
+    rng = random.Random(17)
+    for a in [0, 1, fld.gamma] + [rng.randrange(fld.order) for _ in range(4)]:
+        want = a
+        powers = []                   # a^(q^j) for j = 0, ..., m - 1
+        for _ in range(fld.m):
+            powers.append(want)
+            want = fld.power(want, fld.q)
+        for j in range(-fld.m, 2 * fld.m):
+            assert fld.frob(a, j) == powers[j % fld.m]
+
+
+@pytest.mark.parametrize("key", [(7, 1, 11), (2, 1, 33)])
+def test_no_table_inverse_matches_fermat(key):
+    fld = gf.field(*key)
+    assert not fld.has_tables
+    rng = random.Random(23)
+    for a in [1, fld.gamma] + [rng.randrange(1, fld.order) for _ in range(30)]:
+        inv = fld.inv(a)
+        assert inv == fld.power(a, fld.order - 2)
+        assert fld.mul(a, inv) == 1
 
 
 @pytest.mark.parametrize("key", sorted(PINNED_NO_TABLES))
