@@ -9,9 +9,11 @@ by Rabin's test), so a degree-1 level has modulus x.  The primitive element
 gamma is the smallest element of full multiplicative order, so field tables
 are reproducible across runs.  Fields up to 2^20 elements carry full
 log/antilog tables, filled by a chunked gamma-walk: multiplication by gamma
-is F_p-linear on codes, so each step is two lookups over the low and high
-halves of the code's base-p digits, combined by XOR in characteristic 2 and
-by a digit-wise sum table otherwise.  Larger fields fall back to polynomial
+is F_p-linear on codes, so each step is a few table lookups over chunks of
+the code's base-p digits.  In characteristic 2 that is two lookups over the
+low and high halves joined by XOR; otherwise the walk keeps the chunks lo,
+mid and top (top is the extra digit of an odd dim) and sums each one through
+a shared digit-wise sum table.  Larger fields fall back to polynomial
 arithmetic over the level below, with inverses by the extended Euclidean
 algorithm and the Frobenius as an F_p-linear map on the digits.
 
@@ -346,7 +348,8 @@ class Field:
         # The gamma-walk: step i stores gamma^i and multiplies by gamma.
         # Multiplication by gamma is F_p-linear, so a code x = lo + P * hi
         # with lo its c = dim // 2 low base-p digits (P = p^c) maps to
-        # lo_part[lo] + hi_part[hi]: two lookups and one field addition.
+        # lo_part[lo] + hi_part[hi]: in characteristic 2 two lookups and one
+        # XOR, otherwise one sum-table lookup per chunk (see the odd-p branch).
         n1, p, dim, g = self.order - 1, self.p, self.dim, self.gamma
         self.exp = exp = [0] * n1
         self.log = log = [0] * self.order
@@ -432,17 +435,6 @@ class Field:
             return self.exp[(-self.log[x]) % (self.order - 1)]
         if self.base is None:
             return pow(x, -1, self.p)
-        if self._gf2:
-            # extended Euclid on carry-less products: g * x = u and
-            # h * x = v modulo the modulus, until u = 1
-            u, v, g, h = x, self._gf2_mod, 1, 0
-            while u != 1:
-                j = u.bit_length() - v.bit_length()
-                if j < 0:
-                    u, v, g, h, j = v, u, h, g, -j
-                u ^= v << j
-                g ^= h << j
-            return g
         q = self.q
         return _undigits(_poly_inv(self.base, _digits(x, q, self.m),
                                    self.modulus), q)
