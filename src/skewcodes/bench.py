@@ -98,10 +98,11 @@ class PsucEstimate:
     wilson_high: float
 
 
-def wilson_interval(successes, trials, z=1.96):
+def wilson_interval(successes, trials):
     """95% Wilson score interval for a binomial proportion."""
     if trials == 0:
         return 0.0, 1.0
+    z = 1.96                    # the two-sided 95% normal quantile
     phat = successes / trials
     denom = 1 + z * z / trials
     center = (phat + z * z / (2 * trials)) / denom

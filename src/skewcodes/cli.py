@@ -7,6 +7,7 @@ that explicit flags override.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -21,14 +22,6 @@ EXIT_INTERNAL = 3
 
 class GuardError(Exception):
     pass
-
-
-def _field_from_args(args):
-    q = args.q
-    pe = gf.prime_power(q)
-    if pe is None:
-        raise GuardError(f"q = {q} is not a prime power")
-    return gf.field(pe[0], pe[1], args.m)
 
 
 def _emit(args, payload, text=None):
@@ -88,7 +81,7 @@ def _check_codes(fld, option, codes):
 
 
 def cmd_skew_eval(args):
-    fld = _field_from_args(args)
+    fld = gf.field_q(args.q, args.m)
     from . import skew
     _check_codes(fld, "--beta", [args.beta])
     coeffs = _check_codes(fld, "--coeffs", _parse_ints(args.coeffs))
@@ -100,7 +93,7 @@ def cmd_skew_eval(args):
 
 
 def cmd_lrs_gen(args):
-    fld = _field_from_args(args)
+    fld = gf.field_q(args.q, args.m)
     spec = lrs.default_spec(fld, tuple(_parse_ints(args.lengths)), args.k)
     gen = lrs.generator_matrix(spec)
     payload = {"n": spec.n, "k": spec.k, "blocks": list(spec.lengths),
@@ -132,7 +125,7 @@ def cmd_support_check(args):
 def cmd_support_build(args):
     seed = _require_seed(args)
     pattern = _pattern_from_args(args)
-    fld = _field_from_args(args)
+    fld = gf.field_q(args.q, args.m)
     spec = lrs.default_spec(fld, tuple(_parse_ints(args.lengths)), pattern.k)
     rng = bench.SplitMix64(seed)
     result = support.build_constrained_generator(spec, pattern, rng)
@@ -176,7 +169,7 @@ def cmd_netgap(args):
 
 
 def _experiment_from_args(args):
-    fld = _field_from_args(args)
+    fld = gf.field_q(args.q, args.m)
     return bench.ExperimentConfig(kind=args.kind, field=fld, n=args.n,
                                   d=args.d, s=args.s, trials=args.trials,
                                   seed=_require_seed(args),
@@ -421,11 +414,18 @@ def _config_defaults(parser, config):
             action.default = config[action.dest]
 
 
+@functools.cache
+def _shared_parser():
+    """One parser per process: building it leaves reference cycles behind."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
         if args.config:
+            # _config_defaults changes the defaults in place: use a fresh one
+            parser = build_parser()
             _config_defaults(parser, _load_config(args.config))
             args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -56,13 +56,13 @@ def power_rows(field, points, scales, count):
     return rows
 
 
-def default_spec(field, n, d, multipliers=None):
+def default_spec(field, n, d):
     """Spec with locators gamma^0..gamma^(n-1) and all-one multipliers."""
     if n > field.order - 1:
         raise ValueError(f"n = {n} exceeds q^m - 1 = {field.order - 1}, "
                          "the number of nonzero locators")
     locs = [field.power(field.gamma, i) for i in range(n)]
-    return GrsSpec(field, locs, multipliers or [1] * n, d)
+    return GrsSpec(field, locs, [1] * n, d)
 
 
 def parity_check(spec):

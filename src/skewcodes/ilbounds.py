@@ -112,10 +112,6 @@ class BoundInputs:
         if self.n > self.q ** self.m - 1:
             raise ValueError("GRS needs n <= q^m - 1 nonzero locators")
 
-    @property
-    def t_max(self):
-        return (self.s * (self.d - 1)) // (self.s + 1)
-
 
 def _clamp01(x):
     return max(Fraction(0), min(Fraction(1), x))

@@ -123,10 +123,9 @@ def encode_by_evaluation(spec, message):
     return [fld.mul(b, f.evaluate(a)) for a, b in zip(locs, mults)]
 
 
-def is_msrd(spec, partition=None):
+def is_msrd(spec):
     """Brute-force check that d_SR = n - k + 1 (guard q^(mk) <= 2^24)."""
-    partition = partition or spec.partition
     gen = generator_matrix(spec)
     d = metric.min_distance_bruteforce(spec.field, gen, metric.SUMRANK,
-                                       partition)
+                                       spec.partition)
     return d == spec.n - spec.k + 1

@@ -72,11 +72,6 @@ def weight(field, vector, metric=HAMMING, partition=None):
     raise ValueError(f"unknown metric {metric!r}")
 
 
-def distance(field, u, v, metric=HAMMING, partition=None):
-    diff = [field.sub(a, b) for a, b in zip(u, v)]
-    return weight(field, diff, metric, partition)
-
-
 def min_distance_bruteforce(field, generator_rows, metric=HAMMING,
                             partition=None):
     """Minimum weight over the codewords of all nonzero messages.

@@ -212,11 +212,9 @@ def evaluation_points(field):
 
 
 def _monomial_evaluations(field, monomials):
-    rows = []
-    for a, b in monomials:
-        rows.append([field.mul(field.power(x, a), field.power(y, b))
-                     for x, y in evaluation_points(field)])
-    return rows
+    points = evaluation_points(field)
+    return [[field.mul(field.power(x, a), field.power(y, b))
+             for x, y in points] for a, b in monomials]
 
 
 def evaluation_rank(params):
@@ -238,14 +236,10 @@ def encode(params, coeffs):
     for mono in coeffs:
         if mono not in good:
             raise ValueError(f"monomial {mono} is not good for r={params.r}")
-    word = [0] * params.q ** 2
-    for (a, b), c in coeffs.items():
-        if c:
-            for idx, (x, y) in enumerate(evaluation_points(field)):
-                term = field.mul(c, field.mul(field.power(x, a),
-                                              field.power(y, b)))
-                word[idx] = field.add(word[idx], term)
-    return word
+    if not coeffs:
+        return [0] * params.q ** 2
+    return gf.mat_mul(field, [list(coeffs.values())],
+                      _monomial_evaluations(field, list(coeffs)))[0]
 
 
 def distance_bounds(params):

@@ -367,11 +367,11 @@ def minimal_polynomial_lclm(ring, omega):
     return acc
 
 
-def vandermonde(ring, omega, k=None):
-    """(theta,delta)-Vandermonde matrix V_k(omega): row i holds N_i(a_j)."""
+def vandermonde(ring, omega):
+    """(theta,delta)-Vandermonde matrix V_k(omega), k = |omega|: row i holds
+    N_i(a_j)."""
     omega = list(omega)
-    if k is None:
-        k = len(omega)
+    k = len(omega)
     cols = [ring.norm_sequence(k, a) for a in omega]
     return [[col[i] for col in cols] for i in range(k)]
 

@@ -1,13 +1,14 @@
 """Support-constrained LRS generators and the distributed-LRS designer.
 
 The GM condition |intersection of Z_i over Omega| + |Omega| <= k is checked
-by max-flow: for each anchor row, one min cut gives the least surplus
+by max flow: for each anchor row, one min cut gives the least surplus
 |union of the complements [n] \\ Z_i| - |Omega| over the row sets Omega that
-contain it, and the condition holds iff every such surplus is >= n - k.
-gm_check_exhaustive, the test oracle, instead searches the closures of the
-deduplicated row groups (a violating Omega exists iff its full-group closure
-violates).  Constrained generators come from minimal skew polynomials (row i of T holds
-the coefficients of f_{Z_i}); the designer solves the covering ILP of the
+contain it, and the condition holds iff every such surplus is >= n - k; the
+flow comes from plain augmenting paths.  gm_check_exhaustive, the test
+oracle, instead searches the closures of the deduplicated row groups (a
+violating Omega exists iff its full-group closure violates).  Constrained
+generators come from minimal skew polynomials (row i of T holds the
+coefficients of f_{Z_i}); the designer solves the covering ILP of the
 capacity and zero-constraint families exactly.
 """
 
@@ -42,8 +43,11 @@ class ZeroPattern:
 
 
 def _anchored_surplus(zeros, n, anchor):
-    """min over row sets Omega containing the anchor of |union Y| - |Omega|,
-    where Y_i = [n] \\ Z_i, via a min-cut (Dinic).
+    """(surplus, Omega) for the row sets Omega that contain the anchor.
+
+    surplus is the min of |union Y| - |Omega|, where Y_i = [n] \\ Z_i, read
+    from a min cut (source -> row i -> columns Y_i -> sink) of _max_flow,
+    and Omega is the least minimizing row set, as 1-based row numbers.
 
     The GM condition at dimension k is equivalent to every anchored surplus
     being >= n - k, and ktilde = n - min_i surplus_i.
@@ -64,64 +68,49 @@ def _anchored_surplus(zeros, n, anchor):
                 arc(1 + i, nrows + y, inf)
     for y in range(1, n + 1):
         arc(nrows + y, snk, 1)
-    flow = _dinic(graph, src, snk, inf)
-    omega = _source_side_rows(graph, src, nrows)
-    return flow - nrows, omega
+    flow, reached = _max_flow(graph, src, snk)
+    return flow - nrows, sorted(u for u in reached if 1 <= u <= nrows)
 
 
-def _dinic(graph, src, snk, inf):
+def _max_flow(graph, src, snk):
+    """Max flow by augmenting paths (Ford & Fulkerson 1956).
+
+    Each path is a shortest one, found by breadth-first search, and carries
+    one unit, since every arc into snk has capacity 1.  Returns the flow and
+    the nodes reached by the last, failed search: the source side of the
+    least minimum cut.
+    """
     flow = 0
     while True:
-        level = {src: 0}
+        came = {src: None}          # node -> (previous node, arc used)
         queue = [src]
         for u in queue:
-            for v, cap, _ in graph[u]:
-                if cap > 0 and v not in level:
-                    level[v] = level[u] + 1
-                    queue.append(v)
-        if snk not in level:
-            return flow
-        it = [0] * len(graph)
-
-        def push(u, limit):
-            if u == snk:
-                return limit
-            while it[u] < len(graph[u]):
-                edge = graph[u][it[u]]
-                v, cap, rev = edge
-                if cap > 0 and level.get(v, -1) == level[u] + 1:
-                    got = push(v, min(limit, cap))
-                    if got:
-                        edge[1] -= got
-                        graph[v][rev][1] += got
-                        return got
-                it[u] += 1
-            return 0
-
-        while True:
-            got = push(src, inf)
-            if not got:
+            for edge in graph[u]:
+                if edge[1] > 0 and edge[0] not in came:
+                    came[edge[0]] = (u, edge)
+                    queue.append(edge[0])
+            if snk in came:
                 break
-            flow += got
+        if snk not in came:
+            return flow, came
+        v = snk
+        while v != src:
+            u, edge = came[v]
+            edge[1] -= 1
+            graph[v][edge[2]][1] += 1
+            v = u
+        flow += 1
 
 
-def _source_side_rows(graph, src, nrows):
-    seen = {src}
-    queue = [src]
-    for u in queue:
-        for v, cap, _ in graph[u]:
-            if cap > 0 and v not in seen:
-                seen.add(v)
-                queue.append(v)
-    return sorted(u for u in seen if 1 <= u <= nrows)
+def gm_check(pattern):
+    """GM condition at dimension k; returns None or a violating row set.
 
-
-def gm_check(pattern, k=None):
-    """GM condition at dimension k; returns None or a violating row set."""
-    k = pattern.k if k is None else k
+    The set is the least Omega that contains the first violating anchor row
+    and minimizes |union Y| - |Omega|.
+    """
     for i in range(pattern.k):
         surplus, omega = _anchored_surplus(pattern.zeros, pattern.n, i)
-        if surplus < pattern.n - k:
+        if surplus < pattern.n - pattern.k:
             return omega
     return None
 
@@ -135,9 +124,8 @@ def ktilde(pattern):
     return best
 
 
-def gm_check_exhaustive(pattern, k=None):
+def gm_check_exhaustive(pattern):
     """Subset-enumeration oracle over deduplicated row groups (tests only)."""
-    k = pattern.k if k is None else k
     groups = pattern.groups()
     full = frozenset(range(1, pattern.n + 1))
     for size in range(1, len(groups) + 1):
@@ -147,20 +135,21 @@ def gm_check_exhaustive(pattern, k=None):
             for gi in subset:
                 inter = inter & groups[gi][0]
                 rows.extend(groups[gi][1])
-            if len(inter) + len(rows) > k:
+            if len(inter) + len(rows) > pattern.k:
                 return sorted(rows)
     return None
 
 
-def pad_pattern(pattern, k=None):
+def pad_pattern(pattern):
     """Grow every Z_i to size k-1 while keeping the GM condition intact.
 
     Greedy with a per-element feasibility recheck; since only Z_i changes,
     it suffices to recheck the surplus anchored at row i.
     """
-    k = pattern.k if k is None else k
-    if gm_check(pattern, k) is not None:
-        raise ValueError("pattern violates the GM condition")
+    k = pattern.k
+    violation = gm_check(pattern)
+    if violation is not None:
+        raise ValueError(f"GM condition violated by rows {violation}")
     zeros = [set(z) for z in pattern.zeros]
     n = pattern.n
     for i in range(len(zeros)):
@@ -211,23 +200,16 @@ class ConstrainedResult:
     attempts: int
 
 
-def _root_sets(spec, pattern):
-    locs = lrs.code_locators(spec)
-    return [[locs[j - 1] for j in sorted(z)] for z in pattern.zeros]
-
-
 def _try_build(spec, padded):
     fld = spec.field
     ring = spec.ring
     k = padded.k
+    locs = lrs.code_locators(spec)
     t_rows = []
-    for roots in _root_sets(spec, padded):
-        if roots:
-            f = skew.minimal_polynomial(ring, roots)
-        else:
-            f = ring.one()
-        coeffs = f.coeffs + [0] * (k - len(f.coeffs))
-        t_rows.append(coeffs)
+    for z in padded.zeros:
+        roots = [locs[j - 1] for j in sorted(z)]
+        f = skew.minimal_polynomial(ring, roots) if roots else ring.one()
+        t_rows.append(f.coeffs + [0] * (k - len(f.coeffs)))
     if gf.rank(fld, t_rows) != k:
         return None
     return t_rows, gf.mat_mul(fld, t_rows, lrs.generator_matrix(spec))
@@ -257,13 +239,10 @@ def build_constrained_generator(spec, pattern, rng=None, max_resamples=64):
     rng = rng or random.Random(0)
     if pattern.k != spec.k:
         raise ValueError("pattern must have k rows")
-    violation = gm_check(pattern)
-    if violation is not None:
-        raise ValueError(f"GM condition violated by rows {violation}")
+    padded = pad_pattern(pattern)
     need_m = field_size_bound(spec.k, spec.field.q, spec.lengths)
     if spec.field.m < need_m:
         raise ValueError(f"field too small: need extension degree {need_m}")
-    padded = pad_pattern(pattern)
     attempt_spec = spec
     for attempt in range(1, max_resamples + 1):
         built = _try_build(attempt_spec, padded)
@@ -451,20 +430,6 @@ def split_blocks(n, ell):
     return tuple(sizes)
 
 
-def design_ktilde(instance, source_lengths):
-    """ktilde = max over Omega of (sum n_J over J disjoint from Omega) + r."""
-    h = instance.h
-    best = 0
-    for size in range(1, h + 1):
-        for omega in itertools.combinations(range(1, h + 1), size):
-            oset = frozenset(omega)
-            disjoint = sum(nj for j, nj in source_lengths.items()
-                           if not j & oset)
-            best = max(best, disjoint + sum(instance.lengths[i - 1]
-                                            for i in omega))
-    return best
-
-
 def design_pattern(instance, source_lengths):
     """Zero pattern of the k x n encoding matrix (rows by message, columns
     by source, in the access-list order)."""
@@ -489,14 +454,14 @@ def design_pattern(instance, source_lengths):
 def distributed_design(instance, rng=None, max_resamples=64):
     """Designs and constructs a distributed LRS code for the instance."""
     source_lengths, n = solve_source_lengths(instance)
-    kt = design_ktilde(instance, source_lengths)
+    pattern = design_pattern(instance, source_lengths)
+    kt = ktilde(pattern)
     d = 2 * instance.ell * instance.t + instance.rho + 1
     blocks = split_blocks(n, instance.ell)
     q = gf.next_prime_power(instance.ell + 1)
     m = field_size_bound(kt, q, blocks)
     p, e = gf.prime_power(q)
     fld = gf.field(p, e, m)
-    pattern = design_pattern(instance, source_lengths)
     spec = lrs.default_spec(fld, blocks, kt)
     generator, result = build_subcode_generator(pattern, spec, rng,
                                                 max_resamples)

@@ -192,12 +192,14 @@ def test_bounds_table_rejects_bad_partition_and_q(capsys):
 def test_config_file_defaults(tmp_path, capsys):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("seed=9\ntrials=7\n")
-    argv = ["--config", str(cfg), "qlrs-local", "--ell", "2", "--r", "1",
-            "--tau", "0.2"]
+    config = ["--config", str(cfg)]
+    argv = ["qlrs-local", "--ell", "2", "--r", "1", "--tau", "0.2"]
     # trials=7 used to be ignored in favour of the default 1000; an
-    # explicit flag still wins over the file
-    for extra, want in (([], 7), (["--trials", "5"], 5)):
-        assert cli.main(argv + extra) == 0
+    # explicit flag still wins over the file, and the file's defaults end
+    # with its call (calls without --config share one parser)
+    for head, extra, want in ((config, [], 7), (config, ["--trials", "5"], 5),
+                              (["--seed", "9"], [], 1000)):
+        assert cli.main(head + argv + extra) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["trials"] == want
 

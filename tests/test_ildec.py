@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -366,7 +367,8 @@ def test_decoder_matches_scan_forney_reference(data):
     s = data.draw(st.integers(1, 4))
     nonzero = st.integers(1, fld.order - 1)
     mults = data.draw(st.lists(nonzero, min_size=n, max_size=n))
-    spec = grscode.default_spec(fld, n, d, mults)
+    spec = dataclasses.replace(grscode.default_spec(fld, n, d),
+                               multipliers=mults)
     rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
     if data.draw(st.booleans()):
         t = data.draw(st.integers(1, min(n, ildec.t_max_radius(d, s) + 2)))

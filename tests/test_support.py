@@ -1,6 +1,8 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from skewcodes import gf, lrs, metric, support
 
@@ -59,9 +61,43 @@ def test_gm_check_flow_matches_subset_oracle():
             assert len(inter) + len(got) > pattern.k
 
 
+@settings(max_examples=300)
+@given(st.data())
+def test_gm_check_rows_and_ktilde_match_brute_force(data):
+    # gm_check names the least Omega that contains the first violating
+    # anchor and minimizes |union of Y_i| - |Omega|, Y_i = [n] \ Z_i; this
+    # is the CLI's violating_rows, so it must not depend on the flow's paths
+    n = data.draw(st.integers(1, 7))
+    k = data.draw(st.integers(1, 5))
+    zeros = data.draw(st.lists(st.sets(st.integers(1, n)), min_size=k,
+                               max_size=k))
+    pattern = support.ZeroPattern(n, zeros)
+    full = set(range(1, n + 1))
+    subsets = [set(omega) for size in range(1, k + 1)
+               for omega in itertools.combinations(range(1, k + 1), size)]
+
+    def surplus(omega):
+        return len(set().union(*(full - pattern.zeros[i - 1]
+                                 for i in omega))) - len(omega)
+
+    want = None
+    for anchor in range(1, k + 1):
+        anchored = [omega for omega in subsets if anchor in omega]
+        least = min(surplus(omega) for omega in anchored)
+        if least < n - k:
+            minimizers = [omega for omega in anchored
+                          if surplus(omega) == least]
+            least_set = set.intersection(*minimizers)
+            assert least_set in minimizers   # minimizers are closed under &
+            want = sorted(least_set)
+            break
+    assert support.gm_check(pattern) == want
+    assert support.ktilde(pattern) == max(n - surplus(omega)
+                                          for omega in subsets)
+
+
 def test_ktilde_flow_matches_subset_maximum():
     rng = random.Random(98)
-    import itertools as it
     for _ in range(80):
         n = rng.randrange(2, 7)
         k = rng.randrange(1, 5)
@@ -70,7 +106,7 @@ def test_ktilde_flow_matches_subset_maximum():
         pattern = support.ZeroPattern(n, zeros)
         best = 0
         for size in range(1, k + 1):
-            for omega in it.combinations(range(k), size):
+            for omega in itertools.combinations(range(k), size):
                 inter = set(range(1, n + 1))
                 for i in omega:
                     inter &= set(zeros[i])
@@ -217,7 +253,7 @@ def test_all_design_table_rows():
         inst = support.NetworkInstance([1, 3, 2, 3], access, t=2, rho=2,
                                        ell=ell)
         lengths, n = support.solve_source_lengths(inst)
-        kt = support.design_ktilde(inst, lengths)
+        kt = support.ktilde(support.design_pattern(inst, lengths))
         d = 2 * ell * inst.t + inst.rho + 1
         q = gf.next_prime_power(ell + 1)
         m = support.field_size_bound(kt, q, support.split_blocks(n, ell))
@@ -231,7 +267,7 @@ def test_toy_design_rows_ell_1_and_2():
                                        TOY.rho, ell)
         lengths, n = support.solve_source_lengths(inst)
         assert n == want_n
-        kt = support.design_ktilde(inst, lengths)
+        kt = support.ktilde(support.design_pattern(inst, lengths))
         assert kt == 9
         d = 2 * ell * inst.t + inst.rho + 1
         assert d == want_d
