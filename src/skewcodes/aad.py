@@ -4,10 +4,14 @@ The construction spans S_i by v_{i,t} = (e_t | Gamma_t(c_i) | h_t(c_i)) over
 the codewords c_i of an RS[n-k-1, n-2k] code; it is a partial k-spread of
 size q^(n-2k) and, for k in {1, 2}, an [n,k,L]_q-AAD family with
 L(n,1) = n-1 and L(n,2) = 1 + 2(n-2)(2n-6).
+
+Verification works in the quotient by each subspace: u + S_i meets S_j iff
+u lies in S_i + S_j, which depends only on the coset of u modulo S_i, so
+one count per coset of S_i decides every u in it.
 """
 
 import itertools
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -60,8 +64,7 @@ def construct(n, k, q):
         raise ValueError("need n > 2k")
     if q < n * k:
         raise ValueError("need q >= nk")
-    p, e = gf.prime_power(q)
-    field = gf.field(p, e, 1)
+    field = gf.field_q(q, 1)
     g = field.gamma
     length = n - k - 1
     generators = []
@@ -89,54 +92,84 @@ def verify_spread(family):
     return True
 
 
+def _reducer(field, rows):
+    """The map u -> u - (the combination of rref(rows) that zeroes u on
+    the pivot coordinates of rows), read on the other coordinates: linear,
+    with kernel span(rows), so it names each coset u + span(rows) by one
+    word of length n - rank(rows)."""
+    red, pivots = gf.rref(field, rows)
+    add, mul, neg = field.add, field.mul, field.neg
+    steps = list(zip(pivots, red))
+    free = [c for c in range(len(red[0])) if c not in pivots]
+
+    def reduce(u):
+        u = list(u)
+        for c, row in steps:
+            if u[c]:
+                f = neg(u[c])
+                for j in free:
+                    if row[j]:
+                        u[j] = add(u[j], mul(f, row[j]))
+        return tuple(u[j] for j in free)
+    return reduce
+
+
+def _coset_table(family, i, reduce):
+    """For each nonzero coset u + S_i, the number of j != i whose S_j it
+    meets.  u + S_i meets S_j iff u lies in S_i + S_j, whose cosets are the
+    words of span(reduce(S_j)); the set counts each coset once per j even
+    when the reduced rows are dependent (S_i and S_j intersect)."""
+    field = family.field
+    table = Counter()
+    for j, rows in enumerate(family.generators):
+        if j != i:
+            words = gf.span(field, [reduce(r) for r in rows])
+            table.update(set(map(tuple, words)))
+    del table[reduce((0,) * family.n)]
+    return table
+
+
 def verify_aad(family, l_bound, mode="exhaustive", samples=2000, rng=None):
     """(u + S_i) meets at most l_bound other subspaces, for all (i, u).
 
-    The affine coset u + S_i intersects S_j iff u lies in S_i + S_j, so the
-    exhaustive check counts, for each i, how many sets S_i + S_j (j != i)
-    hold each u outside S_i; a u in none of them has count 0.
+    The coset u + S_i meets S_j iff u lies in S_i + S_j, which depends on u
+    only through its coset modulo S_i.  So both modes reduce modulo S_i
+    (one rref of S_i) and count, per coset, the j != i with the coset in
+    the image of S_j: q^k words per ordered pair.  Exhaustive mode checks
+    every coset of every i; sample mode draws (i, u) with u outside S_i
+    and checks the drawn cosets, one table alive at a time.
     """
     field = family.field
-    n, k = family.n, family.k
+    n = family.n
     q = field.order
-
-    def in_span(i, vec):
-        return gf.rank(field, family.generators[i] + [vec]) == k
-
-    def meets(i, j, vec):
-        stacked = family.generators[i] + family.generators[j]
-        return gf.rank(field, stacked + [vec]) == 2 * k
-
     if mode == "exhaustive":
         if q ** n > EXHAUSTIVE_GUARD:
             raise ValueError("exhaustive guard exceeded (q^n > 2^22)")
-        gens = family.generators
-
-        def members(rows):
-            return set(map(tuple, gf.span(field, rows)))
-
-        own = [members(g) for g in gens]
-        sums = {}
-        for i, j in itertools.combinations(range(family.size), 2):
-            sums[i, j] = sums[j, i] = members(gens[i] + gens[j])
-        for i in range(family.size):
-            hits = Counter(u for j in range(family.size) if j != i
-                           for u in sums[i, j] - own[i])
-            if max(hits.values(), default=0) > l_bound:
+        for i, rows in enumerate(family.generators):
+            table = _coset_table(family, i, _reducer(field, rows))
+            if max(table.values(), default=0) > l_bound:
                 return False
         return True
     if mode == "sample":
+        if samples < 1:
+            raise ValueError(f"samples = {samples} must be >= 1")
         if rng is None:
             raise ValueError("sample mode needs an rng")
+        if family.k >= n:
+            raise ValueError(f"sample mode needs k < n: no u lies outside "
+                             f"S_i when k = {family.k} and n = {n}")
+        reducers = [_reducer(field, rows) for rows in family.generators]
+        drawn = defaultdict(list)
         for _ in range(samples):
             i = rng.randrange(family.size)
             while True:
-                vec = [rng.randrange(q) for _ in range(n)]
-                if not in_span(i, vec):
+                coset = reducers[i]([rng.randrange(q) for _ in range(n)])
+                if any(coset):
                     break
-            count = sum(1 for j in range(family.size)
-                        if j != i and meets(i, j, vec))
-            if count > l_bound:
+            drawn[i].append(coset)
+        for i, cosets in drawn.items():
+            table = _coset_table(family, i, reducers[i])
+            if any(table[c] > l_bound for c in cosets):
                 return False
         return True
     raise ValueError(f"unknown mode {mode!r}")
@@ -147,6 +180,8 @@ def bounds(n, k, l_bound, q):
     term q^(n-2k-(n-k)(k+1)/(L+1)) of the probabilistic bound."""
     if n <= 2 * k:
         raise ValueError("need n > 2k")
+    if l_bound < 0:
+        raise ValueError(f"L = {l_bound} must be >= 0")
     upper = 1 + Fraction(l_bound * (q ** (n - k) - 1), q ** k - 1)
     exponent = Fraction(n - 2 * k) - Fraction((n - k) * (k + 1), l_bound + 1)
     as_lower = float(q) ** float(exponent)

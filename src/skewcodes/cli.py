@@ -234,6 +234,7 @@ def cmd_aad_verify(args):
     fam = aad.construct(args.n, args.k, args.q)
     l_bound = args.l_bound if args.l_bound is not None \
         else aad.guaranteed_l(args.n, args.k)
+    upper, as_lower = aad.bounds(args.n, args.k, l_bound, args.q)
     spread = aad.verify_spread(fam)
     if args.mode == "sample":
         rng = bench.SplitMix64(_require_seed(args))
@@ -241,7 +242,6 @@ def cmd_aad_verify(args):
                             samples=args.samples, rng=rng)
     else:
         ok = aad.verify_aad(fam, l_bound)
-    upper, as_lower = aad.bounds(args.n, args.k, l_bound, args.q)
     _emit(args, {"size": fam.size, "spread": spread, "aad_ok": ok,
                  "L": l_bound, "upper_bound": str(upper),
                  "asymptotic_lower": as_lower})

@@ -45,7 +45,6 @@ class OrderedPartition:
 
 @dataclass
 class BoundReport:
-    metric: str
     name: str
     value: Fraction
 
@@ -198,9 +197,9 @@ def classical_bounds(metric, n, d, q, m=1, partition=None):
                           sumrank_ball(partition, m, d - 1, q))
     else:
         raise ValueError(f"unknown metric {metric!r}")
-    reports.append(BoundReport(metric, "singleton", singleton))
+    reports.append(BoundReport("singleton", singleton))
     if sphere is not None:
-        reports.append(BoundReport(metric, "sphere_packing", sphere))
+        reports.append(BoundReport("sphere_packing", sphere))
     if gv is not None:
-        reports.append(BoundReport(metric, "gilbert_varshamov", gv))
+        reports.append(BoundReport("gilbert_varshamov", gv))
     return reports

@@ -66,11 +66,9 @@ class CombNetParams:
 @dataclass
 class NetBound:
     name: str
-    kind: str                  # "upper" or "lower"
     applicable: bool
     value: Fraction = None     # exact value when rational
     log2: float = None         # always set when applicable
-    note: str = ""
 
     def check_consistency(self, rel_tol=1e-9):
         """Exact and log views agree within rel_tol when both exist."""
@@ -84,16 +82,13 @@ def _log2_fraction(x):
     return math.log2(x.numerator) - math.log2(x.denominator)
 
 
-def _mk(name, kind, value=None, log2=None, applicable=True, note=""):
-    if value is not None and log2 is None:
-        log2 = _log2_fraction(Fraction(value)) if value > 0 else float("-inf")
-    return NetBound(name, kind, applicable,
-                    Fraction(value) if value is not None else None,
-                    log2, note)
+def _mk(name, value):
+    log2 = _log2_fraction(Fraction(value)) if value > 0 else float("-inf")
+    return NetBound(name, True, Fraction(value), log2)
 
 
-def _na(name, kind, note):
-    return NetBound(name, kind, False, note=note)
+def _na(name):
+    return NetBound(name, False)
 
 
 # ---------------------------------------------------------------------------
@@ -113,12 +108,11 @@ def rmax_upper(params):
         exact = q_binomial((eps + ell) * t, eps * t, q) \
             * (theta * Fraction(q ** (ell * t + 1) - 1, q - 1) - 1) \
             + (h - eps) // ell - 1
-        out.append(_mk("UB.N.exact", "upper", exact))
-        out.append(_mk("UB.N.gamma", "upper", loose))
+        out.append(_mk("UB.N.exact", exact))
+        out.append(_mk("UB.N.gamma", loose))
     else:
-        note = "needs alpha >= 2 and h - eps >= 2 ell"
-        out.append(_na("UB.N.exact", "upper", note))
-        out.append(_na("UB.N.gamma", "upper", note))
+        out.append(_na("UB.N.exact"))
+        out.append(_na("UB.N.gamma"))
 
     # alpha = 2 refinement; non-trivially solvable networks give h <= 2l+eps
     if alpha == 2 and h - eps <= 2 * ell and h > ell + eps:
@@ -127,12 +121,11 @@ def rmax_upper(params):
         dim = 2 * ell * t - (h - eps) * t + 1
         exact = Fraction(q_binomial(h * t, dim, q),
                          q_binomial(ell * t, dim, q))
-        out.append(_mk("UB.2.exact", "upper", exact))
-        out.append(_mk("UB.2.gamma", "upper", loose))
+        out.append(_mk("UB.2.exact", exact))
+        out.append(_mk("UB.2.gamma", loose))
     else:
-        note = "needs alpha = 2 and ell + eps < h <= 2 ell + eps"
-        out.append(_na("UB.2.exact", "upper", note))
-        out.append(_na("UB.2.gamma", "upper", note))
+        out.append(_na("UB.2.exact"))
+        out.append(_na("UB.2.gamma"))
 
     # covering-Grassmannian upper bound
     if (1 < ell * t < h * t and eps * t <= (h - ell) * t - 1
@@ -142,12 +135,11 @@ def rmax_upper(params):
         exact = Fraction((alpha - 1) * num, den)
         exact = Fraction(math.floor(exact))
         loose = GAMMA * (alpha - 1) * Fraction(q) ** (ell * t * (eps * t + 1))
-        out.append(_mk("UB.EZ.exact", "upper", exact))
-        out.append(_mk("UB.EZ.gamma", "upper", loose))
+        out.append(_mk("UB.EZ.exact", exact))
+        out.append(_mk("UB.EZ.gamma", loose))
     else:
-        note = "needs 1 < lt < ht, eps <= h - ell - 1/t and alpha in range"
-        out.append(_na("UB.EZ.exact", "upper", note))
-        out.append(_na("UB.EZ.gamma", "upper", note))
+        out.append(_na("UB.EZ.exact"))
+        out.append(_na("UB.EZ.gamma"))
     return out
 
 
@@ -168,15 +160,15 @@ def rmax_lower(params):
 
     if alpha >= 2 and h <= alpha * ell + eps:
         log2 = p.f(t) / (alpha - 1) * math.log2(q) + math.log2(p.beta)
-        out.append(NetBound("LB.LLL", "lower", True, None, log2,
-                            note="beta * q^(f(t)/(alpha-1)), float log view"))
+        # beta * q^(f(t)/(alpha-1)) has no exact value: float log view only
+        out.append(NetBound("LB.LLL", True, None, log2))
     else:
-        out.append(_na("LB.LLL", "lower", "needs alpha >= 2, h <= al+eps"))
+        out.append(_na("LB.LLL"))
 
     if alpha >= 2 and h <= 2 * ell + eps and p.g(t) >= 0:
-        out.append(_mk("LB.EK", "lower", (alpha - 1) * q ** p.g(t)))
+        out.append(_mk("LB.EK", (alpha - 1) * q ** p.g(t)))
     else:
-        out.append(_na("LB.EK", "lower", "needs alpha >= 2, h <= 2l + eps"))
+        out.append(_na("LB.EK"))
     return out
 
 
@@ -188,8 +180,7 @@ def best_bounds(params):
     if p.alpha == 2:
         cands = [uppers["UB.2.gamma"], uppers["UB.EZ.gamma"]]
         cands = [c for c in cands if c.applicable]
-        ub = min(cands, key=lambda b: b.log2) if cands else _na(
-            "UB", "upper", "no applicable bound")
+        ub = min(cands, key=lambda b: b.log2) if cands else _na("UB")
     elif p.h < 2 * p.ell + p.eps:
         ub = uppers["UB.EZ.gamma"]
     else:

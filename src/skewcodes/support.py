@@ -293,6 +293,9 @@ class NetworkInstance:
 
     def __post_init__(self):
         self.access = [frozenset(j) for j in self.access]
+        for i, r in enumerate(self.lengths, 1):
+            if r < 1:
+                raise ValueError(f"message length r_{i} = {r} must be >= 1")
         h = self.h
         if h > 12:
             raise ValueError("designer guard: h <= 12")

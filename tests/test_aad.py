@@ -2,8 +2,9 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from skewcodes import aad, gf
+from skewcodes import aad, bench, gf
 
 
 def test_construct_family_sizes():
@@ -69,18 +70,77 @@ def _negative_control_family():
 
 def _smallest_l_by_rank(family):
     """Largest count, over i and u outside S_i, of the j != i with
-    (u + S_i) meeting S_j, decided by rank tests as in sample mode."""
+    (u + S_i) meeting S_j, i.e. u in S_i + S_j, decided by rank tests."""
     field, k = family.field, family.k
+    gens = family.generators
+    sum_rank = {(i, j): gf.rank(field, gi + gj)
+                for i, gi in enumerate(gens) for j, gj in enumerate(gens)}
     worst = 0
-    for i, gi in enumerate(family.generators):
+    for i, gi in enumerate(gens):
         for u in itertools.product(field.elements(), repeat=family.n):
             if gf.rank(field, gi + [list(u)]) == k:
                 continue
-            count = sum(1 for j, gj in enumerate(family.generators)
+            count = sum(1 for j, gj in enumerate(gens)
                         if j != i and gf.rank(field, gi + gj + [list(u)])
-                        == 2 * k)
+                        == sum_rank[i, j])
             worst = max(worst, count)
     return worst
+
+
+def _full_rank(field, rows, n, k):
+    """k independent rows: rows first, then unit vectors, in order."""
+    units = [[int(c == t) for c in range(n)] for t in range(n)]
+    picked = []
+    for row in rows + units:
+        if len(picked) < k and gf.rank(field, picked + [row]) > len(picked):
+            picked.append(row)
+    return picked
+
+
+@settings(max_examples=100)
+@given(st.data())
+def test_coset_count_matches_rank_brute_force(data):
+    # repeated and intersecting subspaces, where the rows reduced modulo
+    # S_i are dependent and the old 2k-rank test miscounted
+    q = data.draw(st.sampled_from([2, 3, 4, 5]))
+    k = data.draw(st.integers(1, 2))
+    n = data.draw(st.integers(k + 1, 4))
+    field = gf.field_q(q, 1)
+    word = st.lists(st.integers(0, q - 1), min_size=n, max_size=n)
+    gens = []
+    for _ in range(data.draw(st.integers(2, 6))):
+        if gens and data.draw(st.booleans()):
+            gens.append(data.draw(st.sampled_from(gens)))
+        else:
+            rows = data.draw(st.lists(word, min_size=k, max_size=k))
+            gens.append(_full_rank(field, rows, n, k))
+    family = aad.AadFamily(field, n, k, gens)
+    worst = _smallest_l_by_rank(family)
+    for l_bound in range(max(worst - 1, 0), worst + 2):
+        exhaustive = aad.verify_aad(family, l_bound)
+        assert exhaustive == (l_bound >= worst)
+        sample = aad.verify_aad(family, l_bound, mode="sample", samples=20,
+                                rng=bench.SplitMix64(l_bound))
+        assert sample or not exhaustive
+
+
+def test_duplicate_subspaces_agree_in_both_modes():
+    # u + S_0 never meets S_1 = S_0 for u outside S_0; sample mode used to
+    # count S_1 by rank(S_0 + S_1 + [u]) == 2k and return False
+    fam = aad.AadFamily(gf.field(5, 1, 1), 4, 1,
+                        [[[1, 0, 0, 0]], [[1, 0, 0, 0]]])
+    assert aad.verify_aad(fam, 0)
+    assert aad.verify_aad(fam, 0, mode="sample", samples=50,
+                          rng=bench.SplitMix64(1))
+
+
+def test_sample_mode_rejects_whole_space():
+    # with k = n no u lies outside S_i, and the draw loop never ended
+    whole = aad.AadFamily(gf.field(5, 1, 1), 1, 1, [[[1]], [[2]]])
+    assert aad.verify_aad(whole, 0)
+    with pytest.raises(ValueError, match="k < n"):
+        aad.verify_aad(whole, 0, mode="sample", samples=5,
+                       rng=bench.SplitMix64(1))
 
 
 @pytest.mark.parametrize("family", [aad.construct(4, 1, 5),

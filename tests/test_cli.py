@@ -79,6 +79,18 @@ def test_dist_design_infeasible_exit_code():
     assert code == cli.EXIT_INFEASIBLE
 
 
+@pytest.mark.parametrize("lengths, value", [("-1 2", "r_1 = -1"),
+                                            ("0 0", "r_1 = 0")])
+def test_dist_design_rejects_lengths_below_one(capsys, lengths, value):
+    # "-1 2" gave a design for a message of length -1
+    argv = ["--seed", "1", "dist-design", "--lengths", lengths, "--access",
+            "1;2", "--t", "1", "--rho", "1", "--ell", "1"]
+    assert cli.main(argv) == cli.EXIT_INFEASIBLE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"message length {value} must be >= 1" in err
+
+
 def test_netgap_command(tmp_path):
     out = tmp_path / "netgap.json"
     code = cli.main(["--out", str(out), "netgap", "--h", "12",
@@ -160,6 +172,41 @@ def test_aad_commands(tmp_path):
     assert payload["size"] == 25
     assert cli.main(["aad-build", "--n", "15", "--k", "2", "--q", "7"]) \
         == cli.EXIT_INFEASIBLE      # q < nk guard
+
+
+@pytest.mark.parametrize("argv, value", [
+    (["aad-build", "--n", "5", "--k", "1", "--q", "6"], "q = 6"),
+    (["aad-verify", "--n", "5", "--k", "1", "--q", "7", "--l-bound", "-1"],
+     "L = -1"),
+    (["aad-verify", "--n", "5", "--k", "1", "--q", "7", "--l-bound", "-2"],
+     "L = -2"),
+    (["--seed", "1", "aad-verify", "--n", "5", "--k", "1", "--q", "7",
+      "--mode", "sample", "--samples", "0"], "samples = 0"),
+    (["--seed", "1", "aad-verify", "--n", "5", "--k", "1", "--q", "7",
+      "--mode", "sample", "--samples", "-5"], "samples = -5"),
+], ids=["q-6", "l-bound-1", "l-bound-2", "samples-0", "samples-5"])
+def test_aad_rejects_bad_values(capsys, argv, value):
+    # these exited 3 (q = 6, L = -1) or 0 with a meaningless verdict
+    assert cli.main(argv) == cli.EXIT_INFEASIBLE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert value in err
+
+
+@pytest.mark.parametrize("l_bound, ok, upper, as_lower", [
+    ("2", False, "801", 1.912931182772389),
+    ("3", True, "1201", 7.0),
+])
+def test_aad_verify_sample_seeded_output(capsys, l_bound, ok, upper,
+                                         as_lower):
+    # pins the draw order of sample mode: i, then u until u is outside S_i
+    argv = ["--seed", "3", "aad-verify", "--n", "5", "--k", "1", "--q", "7",
+            "--mode", "sample", "--samples", "300", "--l-bound", l_bound]
+    assert cli.main(argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload == {"size": 343, "spread": True, "aad_ok": ok,
+                       "L": int(l_bound), "upper_bound": upper,
+                       "asymptotic_lower": as_lower}
 
 
 def test_bounds_table(tmp_path):

@@ -216,6 +216,5 @@ def test_ball_guard():
 
 
 def test_bound_report_log10():
-    r = metric.BoundReport(metric.HAMMING, "singleton",
-                           metric.Fraction(10 ** 50))
+    r = metric.BoundReport("singleton", metric.Fraction(10 ** 50))
     assert abs(r.log10 - 50.0) < 1e-9
