@@ -7,6 +7,7 @@ that explicit flags override.
 """
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -42,8 +43,13 @@ def _parse_ints(text):
 
 
 def _parse_sets(text):
-    """'1 2 3; 1 2 4' -> [{1,2,3}, {1,2,4}]."""
+    """'1 2 3; 1 2 4' -> [{1,2,3}, {1,2,4}]; blank parts are skipped."""
     return [set(_parse_ints(part)) for part in text.split(";") if part.strip()]
+
+
+def _parse_rows(text):
+    """'1 2;;3' -> [{1,2}, set(), {3}]: every part is a row, blank is empty."""
+    return [set(_parse_ints(part)) for part in text.split(";")]
 
 
 def _load_config(path):
@@ -107,8 +113,7 @@ def cmd_lrs_gen(args):
 
 
 def _pattern_from_args(args):
-    zeros = _parse_sets(args.zeros)
-    return support.ZeroPattern(args.n, zeros)
+    return support.ZeroPattern(args.n, _parse_rows(args.zeros))
 
 
 def cmd_support_check(args):
@@ -189,12 +194,14 @@ def cmd_il_sim(args):
 
 
 def cmd_il_bounds(args):
+    # built before the t loop, which is empty for some bad d
+    first = ilbounds.BoundInputs(q=args.q, m=args.m, n=args.n, d=args.d,
+                                 s=args.s, t=1)
     rows = []
     tmax = ildec.t_max_radius(args.d, args.s)
     lines = [bench.CSV_HEADER]
     for t in range(1, tmax + 3):
-        inputs = ilbounds.BoundInputs(q=args.q, m=args.m, n=args.n,
-                                      d=args.d, s=args.s, t=t)
+        inputs = dataclasses.replace(first, t=t)
         vals = ilbounds.all_bounds(inputs)
         rows.append({"t": t, **{k: (None if v is None else float(v))
                                 for k, v in vals.items()}})
@@ -235,13 +242,15 @@ def cmd_aad_verify(args):
     l_bound = args.l_bound if args.l_bound is not None \
         else aad.guaranteed_l(args.n, args.k)
     upper, as_lower = aad.bounds(args.n, args.k, l_bound, args.q)
-    spread = aad.verify_spread(fam)
+    # verify_aad checks its mode's arguments before any coset work, so it
+    # runs first: a rejected call never pays for verify_spread
     if args.mode == "sample":
         rng = bench.SplitMix64(_require_seed(args))
         ok = aad.verify_aad(fam, l_bound, mode="sample",
                             samples=args.samples, rng=rng)
     else:
         ok = aad.verify_aad(fam, l_bound)
+    spread = aad.verify_spread(fam)
     _emit(args, {"size": fam.size, "spread": spread, "aad_ok": ok,
                  "L": l_bound, "upper_bound": str(upper),
                  "asymptotic_lower": as_lower})
@@ -301,7 +310,8 @@ def build_parser():
     p = add_parser("support-check", help="GM condition and ktilde")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--zeros", required=True,
-                   help="semicolon-separated rows of zero positions")
+                   help="semicolon-separated rows of zero positions; "
+                   "a blank row is the empty set")
     p.set_defaults(func=cmd_support_check)
 
     p = add_parser("support-build",

@@ -17,6 +17,18 @@ a shared digit-wise sum table.  Larger fields fall back to polynomial
 arithmetic over the level below, with inverses by the extended Euclidean
 algorithm and the Frobenius as an F_p-linear map on the digits.
 
+Multiplication, by field family:
+  - fields up to 2^20 elements: one log/antilog table lookup;
+  - larger extensions of GF(2): a carry-less product of the bit codes,
+    reduced by the modulus;
+  - larger extensions of GF(p), p odd: Kronecker substitution (Kronecker
+    1882; Harvey, J. Symb. Comput. 2009), one big-int product of the codes'
+    digits spread into wide slots, see _kronecker;
+  - larger towers over GF(p^e), e > 1: schoolbook products of the digit
+    polynomials over the level below, reduced by _poly_mulmod.
+The table walk and the gamma search use the last three, and so do the
+Frobenius maps of fields without tables.
+
 Element codes are plain ints: an element sum(c_i * z^i) with c_i in F_q is
 encoded as sum(code(c_i) * q^i), and a base-field element sum(b_j * x^j) with
 b_j in F_p as sum(b_j * p^j).  So the base-p digits of a code are its
@@ -29,6 +41,7 @@ identity on codes.
 import itertools
 
 TABLE_LIMIT = 1 << 20
+_SPREAD_LIMIT = 1 << 10     # entries of a Kronecker spread table
 
 
 # ---------------------------------------------------------------------------
@@ -63,6 +76,14 @@ def prime_power(n):
         return None
     (p, e), = f.items()
     return p, e
+
+
+def require_prime_power(q):
+    """(p, e) with q = p^e; a ValueError that names q otherwise."""
+    pe = prime_power(q)
+    if pe is None:
+        raise ValueError(f"q = {q} is not a prime power")
+    return pe
 
 
 def next_prime_power(n):
@@ -187,6 +208,53 @@ def _undigits(digits, b):
     return code
 
 
+def _kronecker(p, m, modulus):
+    """Multiplication of GF(p^m) codes, p odd, by Kronecker substitution.
+
+    A code's m base-p digits are spread into W-bit slots of one int, one big
+    int product then holds every coefficient of the product polynomial in
+    its own slot, and the high coefficients at z^k, m <= k <= 2m-2, are
+    folded back with the packed rows z^k mod modulus.  A low slot sums at
+    most m products from the big product and m - 1 from the fold, so
+    2^W > (2m-1)(p-1)^2 keeps every slot from carrying into the next.
+    Codes are spread C digits at a time through a table of the p^C chunk
+    codes, with C the largest chunk whose table has at most
+    _SPREAD_LIMIT entries; for one-digit chunks the spread of a digit is
+    the digit itself, so no table is built.
+    """
+    W = ((2 * m - 1) * (p - 1) ** 2).bit_length()
+    mask = (1 << W) - 1
+    C = 1
+    while C < m and p ** (C + 1) <= _SPREAD_LIMIT:
+        C += 1
+    P, CW = p ** C, C * W
+    spread = range(p)
+    for i in range(1, C):          # add a top digit to every chunk code
+        spread = [v + (d << (W * i)) for d in range(p) for v in spread]
+    zk = [(-c) % p for c in modulus[:m]]            # z^m mod modulus
+    fold = []
+    for k in range(m, 2 * m - 1):
+        fold.append((W * k, _undigits(zk, 1 << W)))
+        top = zk[-1]                                # z^(k+1) = z * z^k
+        zk = [(a - top * c) % p for a, c in zip([0] + zk[:-1], modulus)]
+    low_mask = (1 << (W * m)) - 1
+    reads = [(W * t, p ** t) for t in range(m)]
+
+    def mul(x, y):
+        X = Y = s = 0
+        while x or y:
+            x, a = divmod(x, P)
+            y, b = divmod(y, P)
+            X |= spread[a] << s
+            Y |= spread[b] << s
+            s += CW
+        prod = X * Y
+        acc = (prod & low_mask) + sum([(prod >> sh & mask) % p * row
+                                       for sh, row in fold])
+        return sum([(acc >> sh & mask) % p * pt for sh, pt in reads])
+    return mul
+
+
 def _chunks(codes, P):
     """Three lists: the base-P digits 0, 1 and the rest of every code."""
     return ([y % P for y in codes], [y // P % P for y in codes],
@@ -229,10 +297,8 @@ def field(p, e, m):
 
 def field_q(q, m):
     """Cached field from a prime-power base size q."""
-    pe = prime_power(q)
-    if pe is None:
-        raise ValueError(f"q = {q} is not a prime power")
-    return field(pe[0], pe[1], m)
+    p, e = require_prime_power(q)
+    return field(p, e, m)
 
 
 class Field:
@@ -262,6 +328,10 @@ class Field:
         self.modulus = self._find_modulus() if base else None
         if self._gf2:
             self._gf2_mod = _undigits(self.modulus, 2)
+        # odd prime base: Kronecker products; over GF(p^e), e > 1, schoolbook
+        self._kron = (_kronecker(p, m, self.modulus)
+                      if base is not None and base.base is None and p != 2
+                      else None)
         self.gamma = self._find_gamma()
         if self.has_tables:
             self._build_tables()
@@ -295,6 +365,8 @@ class Field:
                 r ^= mod << (top - m)
                 top = r.bit_length() - 1
             return r
+        if self._kron is not None:
+            return self._kron(x, y)
         q, m = self.q, self.m
         prod = _poly_mulmod(self.base, _digits(x, q, m), _digits(y, q, m),
                             self.modulus)

@@ -9,7 +9,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import grscode, metric
+from . import gf, grscode, metric
 
 KOPT_FULL = "full"            # min(Singleton, Hamming, Griesmer, Plotkin)
 KOPT_SINGLETON = "singleton"
@@ -105,6 +105,9 @@ class BoundInputs:
     t: int            # number of errors
 
     def __post_init__(self):
+        gf.require_prime_power(self.q)
+        if self.d < 1:
+            raise ValueError(f"designed distance d = {self.d} must be >= 1")
         if self.s < 1:
             raise ValueError(f"interleaving order s = {self.s} must be >= 1")
         if self.d > self.n or self.t < 1:

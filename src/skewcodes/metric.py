@@ -164,8 +164,7 @@ def classical_bounds(metric, n, d, q, m=1, partition=None):
     Sphere-packing upper-bounds and GV lower-bounds the maximum cardinality
     of a code of minimum distance d in the given metric.
     """
-    if gf.prime_power(q) is None:
-        raise ValueError(f"q = {q} is not a prime power")
+    gf.require_prime_power(q)
     if not 1 <= d <= n:
         raise ValueError("need 1 <= d <= n")
     if metric in (RANK, SUMRANK) and m < 1:

@@ -32,8 +32,7 @@ class CombNetParams:
             raise ValueError("need alpha, ell, t >= 1 and eps >= 0")
         if self.r < 1:
             raise ValueError(f"r = {self.r} must be >= 1")
-        if gf.prime_power(self.q) is None:
-            raise ValueError("q must be a prime power")
+        gf.require_prime_power(self.q)
 
     @property
     def theta(self):

@@ -4,12 +4,12 @@ import sys
 
 import pytest
 
-from skewcodes import cli
+from skewcodes import aad, cli
 
 
-def run_cli(args):
+def run_cli(args, timeout=300):
     proc = subprocess.run([sys.executable, "-m", "skewcodes.cli"] + args,
-                          capture_output=True, text=True, timeout=300)
+                          capture_output=True, text=True, timeout=timeout)
     return proc
 
 
@@ -52,6 +52,26 @@ def test_lrs_gen_json_and_csv(tmp_path):
 def test_support_check():
     code = cli.main(["support-check", "--n", "4", "--zeros", "1; 2"])
     assert code == 0
+
+
+@pytest.mark.parametrize("zeros, k", [("1;;2", 3), (";", 2)])
+def test_support_check_keeps_blank_zero_rows(capsys, zeros, k):
+    # a blank part is the row Z_i = {}; "1;;2" used to give k 2 and ";" k 0
+    assert cli.main(["support-check", "--n", "3", "--zeros", zeros]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["k"] == k
+    assert payload["ktilde"] == k
+
+
+def test_support_build_keeps_blank_zero_rows(capsys):
+    argv = ["--seed", "1", "support-build", "--n", "3", "--zeros", "1;;2",
+            "--q", "3", "--m", "3", "--lengths", "2 1"]
+    assert cli.main(argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert len(payload["generator"]) == 3
+    # the generator vanishes on each row's zeros, including the padded ones
+    for row, zeros in zip(payload["generator"], payload["padded_zeros"]):
+        assert all(row[j - 1] == 0 for j in zeros)
 
 
 def test_support_build_requires_seed():
@@ -146,6 +166,21 @@ def test_il_bounds_csv(tmp_path):
     assert len(lines) == 10    # t = 1..9 = tmax + 2
 
 
+@pytest.mark.parametrize("extra, bad", [
+    (["--q", "6", "--d", "5"], "q = 6 is not a prime power"),
+    (["--q", "2", "--d", "0"], "d = 0 must be >= 1"),
+    (["--q", "2", "--d", "-4"], "d = -4 must be >= 1"),
+], ids=["q-6", "d-0", "d-4"])
+def test_il_bounds_rejects_impossible_inputs(capsys, extra, bad):
+    # each used to exit 0: numbers for GF(6), the row "1,,,,,0,," for d = 0
+    # and a bare header for d = -4
+    argv = ["il-bounds", "--m", "8", "--n", "30", "--s", "2"] + extra
+    assert cli.main(argv) == cli.EXIT_INFEASIBLE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert bad in err
+
+
 def test_qlrs_dim(tmp_path):
     out = tmp_path / "dim.json"
     assert cli.main(["--out", str(out), "qlrs-dim", "--ell", "3",
@@ -191,6 +226,24 @@ def test_aad_rejects_bad_values(capsys, argv, value):
     out, err = capsys.readouterr()
     assert out == ""
     assert value in err
+
+
+def test_aad_verify_checks_samples_before_spread(monkeypatch, capsys):
+    def no_spread(family):
+        raise AssertionError("verify_spread ran before the argument checks")
+    monkeypatch.setattr(aad, "verify_spread", no_spread)
+    argv = ["--seed", "1", "aad-verify", "--n", "5", "--k", "1", "--q", "7",
+            "--mode", "sample", "--samples", "0"]
+    assert cli.main(argv) == cli.EXIT_INFEASIBLE
+    assert "samples = 0" in capsys.readouterr().err
+
+
+def test_aad_verify_guard_exits_quickly():
+    # 9^7 > 2^22: the spread check ran first and took hours
+    proc = run_cli(["aad-verify", "--n", "7", "--k", "1", "--q", "9"],
+                   timeout=60)
+    assert proc.returncode == cli.EXIT_INFEASIBLE
+    assert "exhaustive guard exceeded" in proc.stderr
 
 
 @pytest.mark.parametrize("l_bound, ok, upper, as_lower", [

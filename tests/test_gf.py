@@ -367,6 +367,48 @@ def test_no_table_arithmetic_pinned(key):
     assert _digest(fld.gamma, out, base.gamma, base.exp, base.log) == digest
 
 
+# no-table fields over an odd prime field, multiplied by Kronecker
+# substitution; GF(1031^2) needs slots wider than 16 bits
+KRONECKER_FIELDS = (gf.field(3, 1, 13), gf.field(5, 1, 9), gf.field(7, 1, 11),
+                    gf.field(1031, 1, 2))
+
+
+def _schoolbook_mul(fld, x, y):
+    q, m = fld.q, fld.m
+    return gf._undigits(gf._poly_mulmod(fld.base, gf._digits(x, q, m),
+                                        gf._digits(y, q, m), fld.modulus), q)
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_kronecker_mul_matches_schoolbook(data):
+    fld = data.draw(st.sampled_from(KRONECKER_FIELDS), label="field")
+    assert not fld.has_tables
+    top = fld.order - 1
+    code = st.sampled_from([0, 1, top]) | st.integers(0, top)
+    x, y = data.draw(code, label="x"), data.draw(code, label="y")
+    assert fld.mul(x, y) == _schoolbook_mul(fld, x, y)
+
+
+@pytest.mark.parametrize("fld", KRONECKER_FIELDS, ids=repr)
+def test_kronecker_mul_corners(fld):
+    # x = y = order - 1 has every digit p - 1: the largest slot sums
+    top = fld.order - 1
+    corners = [0, 1, fld.gamma, top - 1, top]
+    for x, y in itertools.product(corners, repeat=2):
+        assert fld.mul(x, y) == _schoolbook_mul(fld, x, y)
+
+
+@pytest.mark.parametrize("key", [(3, 1, 4), (7, 1, 3)])
+def test_kronecker_mul_matches_tables(key):
+    fld = gf.field(*key)
+    assert fld.has_tables
+    ys = sorted(set(range(0, fld.order, 7)) | {1, fld.order - 1})
+    for x in fld.elements():
+        for y in ys:
+            assert fld._poly_mul(x, y) == fld.mul(x, y)
+
+
 # char-2 tables, odd-characteristic tables, the two-level GF(9^2), a prime field
 SPAN_FIELDS = (F8, F16, F9, gf.field(3, 2, 2), gf.field(7, 1, 1))
 
