@@ -32,6 +32,13 @@ class AadFamily:
         return len(self.generators)
 
 
+def check_exhaustive_guard(n, q):
+    """Reject an exhaustive check of F_q^n beyond EXHAUSTIVE_GUARD words;
+    (n, q) alone decide it, so callers check before building a family."""
+    if q ** n > EXHAUSTIVE_GUARD:
+        raise ValueError("exhaustive guard exceeded (q^n > 2^22)")
+
+
 def guaranteed_l(n, k):
     """The proven affine-intersection bound for k in {1, 2}."""
     if k == 1:
@@ -143,8 +150,7 @@ def verify_aad(family, l_bound, mode="exhaustive", samples=2000, rng=None):
     n = family.n
     q = field.order
     if mode == "exhaustive":
-        if q ** n > EXHAUSTIVE_GUARD:
-            raise ValueError("exhaustive guard exceeded (q^n > 2^22)")
+        check_exhaustive_guard(n, q)
         for i, rows in enumerate(family.generators):
             table = _coset_table(family, i, _reducer(field, rows))
             if max(table.values(), default=0) > l_bound:

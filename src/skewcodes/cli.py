@@ -42,11 +42,6 @@ def _parse_ints(text):
     return [int(x) for x in text.replace(",", " ").split()]
 
 
-def _parse_sets(text):
-    """'1 2 3; 1 2 4' -> [{1,2,3}, {1,2,4}]; blank parts are skipped."""
-    return [set(_parse_ints(part)) for part in text.split(";") if part.strip()]
-
-
 def _parse_rows(text):
     """'1 2;;3' -> [{1,2}, set(), {3}]: every part is a row, blank is empty."""
     return [set(_parse_ints(part)) for part in text.split(";")]
@@ -143,7 +138,7 @@ def cmd_support_build(args):
 def cmd_dist_design(args):
     seed = _require_seed(args)
     inst = support.NetworkInstance(_parse_ints(args.lengths),
-                                   _parse_sets(args.access),
+                                   _parse_rows(args.access),
                                    args.t, args.rho, args.ell)
     rng = bench.SplitMix64(seed)
     res = support.distributed_design(inst, rng)
@@ -238,6 +233,8 @@ def cmd_aad_build(args):
 
 
 def cmd_aad_verify(args):
+    if args.mode == "exhaustive":
+        aad.check_exhaustive_guard(args.n, args.q)
     fam = aad.construct(args.n, args.k, args.q)
     l_bound = args.l_bound if args.l_bound is not None \
         else aad.guaranteed_l(args.n, args.k)

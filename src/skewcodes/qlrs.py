@@ -5,6 +5,13 @@ every quadratic curve y = ax^2 + bx + c has degree < q - r.  A monomial
 x^a y^b is good iff 2i + j + a (mod* q) < q - r for all i <=2 b and
 j <=2 b - i, where mod* folds values >= q into [1, q-1] (multiples of q-1
 map to q-1) and <=2 is the bitwise-dominance order.
+
+The bad exponents of a row b form one bitmask.  Bit w of the window W is set,
+for 0 <= w < 4q, iff w (mod* q) >= q - r; x^a y^b is bad iff some achievable
+sum v = 2i + j of b has bit a + v set in W, so row b's bad exponents a are the
+union over v of (W >> v) restricted to [0, q-1].  The sets S_t(ell) are read
+the same way from a target mask.  `is_good_monomial`, which walks the sums of
+one (a, b), is the oracle for both.
 """
 
 import itertools
@@ -78,10 +85,30 @@ def is_good_monomial(a, b, params):
     return True
 
 
+def _row_masks(q, window):
+    """For each row b < q, the bitmask of the a < q with bit a + v of window
+    set for some achievable sum v of b.
+
+    The union U(b) of window >> v over the sums v of b obeys U(0) = window
+    and U(b) = U(b') | U(b') >> w | U(b') >> 2w, where w is the top bit of b
+    and b' = b - w, because the sums of b are those of b' plus 0, w or 2w
+    (see _achievable_sums).  So each row costs three shifts.
+    """
+    unions = [window]
+    for b in range(1, q):
+        w = 1 << (b.bit_length() - 1)
+        u = unions[b - w]
+        unions.append(u | u >> w | u >> (2 * w))
+    low = (1 << q) - 1
+    return [u & low for u in unions]
+
+
 def good_monomials(params):
-    q = params.q
-    return [(a, b) for b in range(q) for a in range(q)
-            if is_good_monomial(a, b, params)]
+    """The good (a, b), b-major then a, in increasing order."""
+    q, r = params.q, params.r
+    window = sum(1 << w for w in range(4 * q) if mod_star(w, q) >= q - r)
+    return [(a, b) for b, bad in enumerate(_row_masks(q, window))
+            for a in range(q) if not bad >> a & 1]
 
 
 def dimension(params):
@@ -133,17 +160,12 @@ def ij_reduce(ell, i, j):
 # bad-monomial sets S_t(ell) and the recursion
 
 def s_t_exhaustive(ell, r, t):
-    """Direct enumeration of S_t(ell) from its definition."""
+    """S_t(ell) by definition: the (a, b) with a + v = tq + q - r' for an
+    achievable sum v of b and some 1 <= r' <= r."""
     q = 1 << ell
-    out = set()
-    targets = {q - rp + t * q for rp in range(1, r + 1)}
-    for b in range(q):
-        sums = _achievable_sums(b)
-        for a in range(q):
-            if any(0 <= v - a < (3 * q + 1) and (sums >> (v - a)) & 1
-                   for v in targets if v >= a):
-                out.add((a, b))
-    return out
+    target = sum(1 << (q - rp + t * q) for rp in range(1, r + 1))
+    return {(a, b) for b, hit in enumerate(_row_masks(q, target))
+            for a in range(q) if hit >> a & 1}
 
 
 RECURSION_MATRIX = ((3, 1, 0), (1, 1, 1), (0, 0, 1))

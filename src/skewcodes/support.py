@@ -299,9 +299,10 @@ class NetworkInstance:
         h = self.h
         if h > 12:
             raise ValueError("designer guard: h <= 12")
-        for j in self.access:
+        for idx, j in enumerate(self.access, 1):
             if not j or any(not 1 <= i <= h for i in j):
-                raise ValueError("access sets must be nonempty subsets of [h]")
+                raise ValueError(f"access set J_{idx} = {sorted(j)} must be "
+                                 f"a nonempty subset of [1, {h}]")
 
     @property
     def h(self):

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -109,6 +110,17 @@ def test_dist_design_rejects_lengths_below_one(capsys, lengths, value):
     out, err = capsys.readouterr()
     assert out == ""
     assert f"message length {value} must be >= 1" in err
+
+
+def test_dist_design_rejects_blank_access_part(capsys):
+    # the blank part was dropped: a three-sink design (n 25, ktilde 11)
+    argv = ["--seed", "1", "dist-design", "--lengths", "1 3 2 3",
+            "--access", "1 2 3;;1 3 4; 2 3 4", "--t", "2", "--rho", "2",
+            "--ell", "3"]
+    assert cli.main(argv) == cli.EXIT_INFEASIBLE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "access set J_2 = [] must be a nonempty subset" in err
 
 
 def test_netgap_command(tmp_path):
@@ -238,12 +250,15 @@ def test_aad_verify_checks_samples_before_spread(monkeypatch, capsys):
     assert "samples = 0" in capsys.readouterr().err
 
 
-def test_aad_verify_guard_exits_quickly():
-    # 9^7 > 2^22: the spread check ran first and took hours
-    proc = run_cli(["aad-verify", "--n", "7", "--k", "1", "--q", "9"],
-                   timeout=60)
-    assert proc.returncode == cli.EXIT_INFEASIBLE
-    assert "exhaustive guard exceeded" in proc.stderr
+def test_aad_verify_guard_exits_quickly(capsys):
+    # 9^7 > 2^22: the spread check ran first and took hours, then
+    # construct built all 59,049 subspaces (about 1 s) before the guard
+    start = time.perf_counter()
+    code = cli.main(["aad-verify", "--n", "7", "--k", "1", "--q", "9"])
+    assert time.perf_counter() - start < 0.5
+    assert code == cli.EXIT_INFEASIBLE
+    assert "exhaustive guard exceeded" in capsys.readouterr().err
+
 
 
 @pytest.mark.parametrize("l_bound, ok, upper, as_lower", [

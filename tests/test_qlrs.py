@@ -1,5 +1,7 @@
 import random
 
+from hypothesis import given, settings, strategies as st
+
 from skewcodes import gf, qlrs
 
 
@@ -133,10 +135,48 @@ def test_ij_reduce_deducts_exactly_q_whenever_feasible():
                 assert (2 * i + j) - (2 * ip + jp) == q
 
 
+def s_t_reference(ell, r, t):
+    # per-(a, b) scan over the targets tq + q - r'
+    q = 1 << ell
+    targets = {q - rp + t * q for rp in range(1, r + 1)}
+    out = set()
+    for b in range(q):
+        sums = qlrs._achievable_sums(b)
+        for a in range(q):
+            if any(v >= a and (sums >> (v - a)) & 1 for v in targets):
+                out.add((a, b))
+    return out
+
+
+def _ell_and_r(data, max_ell):
+    ell = data.draw(st.integers(1, max_ell), label="ell")
+    r = data.draw(st.integers(1, (1 << ell) - 1), label="r")
+    return ell, r
+
+
+@settings(max_examples=40)
+@given(st.data())
+def test_good_monomials_match_oracle_in_order(data):
+    ell, r = _ell_and_r(data, 7)
+    params = qlrs.QlrsParams(ell, r)
+    q = params.q
+    want = [(a, b) for b in range(q) for a in range(q)
+            if qlrs.is_good_monomial(a, b, params)]
+    assert qlrs.good_monomials(params) == want
+
+
+@settings(max_examples=40)
+@given(st.data())
+def test_s_t_masks_match_reference(data):
+    ell, r = _ell_and_r(data, 6)
+    t = data.draw(st.integers(0, 2), label="t")
+    assert qlrs.s_t_exhaustive(ell, r, t) == s_t_reference(ell, r, t)
+
+
 def test_s_t_recursion_matches_exhaustive():
     for r in (1, 3):
         ell0 = qlrs.min_valid_ell(r)
-        for ell in range(ell0, 7):
+        for ell in range(ell0, 11):
             want = tuple(len(qlrs.s_t_exhaustive(ell, r, t))
                          for t in range(3))
             assert qlrs.s_counts_recursive(ell, r) == want
@@ -165,6 +205,16 @@ def test_star_bad_bracket_power_of_two():
     lo, hi = qlrs.bad_star_bounds(params)
     bad = qlrs.bad_star_count(params)
     assert 4 * lo <= bad <= 4 * hi
+
+
+def test_star_bad_bracket_every_r():
+    # r^2 lo <= |S*| <= r^2 hi for every r <= q/4, not only powers of two
+    for ell in range(2, 9):
+        for r in range(1, (1 << ell) // 4 + 1):
+            params = qlrs.QlrsParams(ell, r)
+            lo, hi = qlrs.bad_star_bounds(params)
+            bad = qlrs.bad_star_count(params)
+            assert r * r * lo <= bad <= r * r * hi, (ell, r)
 
 
 def test_bad_star_equals_exhaustive_star_set():
