@@ -108,7 +108,13 @@ def cmd_lrs_gen(args):
 
 
 def _pattern_from_args(args):
-    return support.ZeroPattern(args.n, _parse_rows(args.zeros))
+    rows = _parse_rows(args.zeros)
+    if args.n < 1:
+        raise GuardError(f"--n {args.n} must be >= 1")
+    if len(rows) > args.n:
+        raise GuardError(f"--zeros gives k = {len(rows)} rows, more than "
+                         f"--n {args.n}")
+    return support.ZeroPattern(args.n, rows)
 
 
 def cmd_support_check(args):

@@ -18,7 +18,9 @@ arithmetic over the level below, with inverses by the extended Euclidean
 algorithm and the Frobenius as an F_p-linear map on the digits.
 
 Multiplication, by field family:
-  - fields up to 2^20 elements: one log/antilog table lookup;
+  - fields of dimension 1 over F_p (prime fields and degree-1 extensions
+    of them): the product mod p;
+  - other fields up to 2^20 elements: one log/antilog table lookup;
   - larger extensions of GF(2): a carry-less product of the bit codes,
     reduced by the modulus;
   - larger extensions of GF(p), p odd: Kronecker substitution (Kronecker
@@ -28,6 +30,22 @@ Multiplication, by field family:
     polynomials over the level below, reduced by _poly_mulmod.
 The table walk and the gamma search use the last three, and so do the
 Frobenius maps of fields without tables.
+
+Addition, by field family:
+  - fields of dimension 1 over F_p: the sum mod p;
+  - other fields of characteristic 2: XOR of the codes;
+  - odd-characteristic fields with tables: Zech logarithms (Huber, IEEE
+    T-IT 36(4), 1990), gamma^a + gamma^b = gamma^(a + Z[b - a]) with
+    Z[k] = log(1 + gamma^k), a few table reads; see _zech_ops;
+  - odd-characteristic fields without tables: digit-wise sums mod p.
+Field.__init__ binds each family's add, sub, neg and mul once, as closures
+on the instance; the class methods are the reference they are tested
+against, and they show through again if an instance attribute is deleted.
+Each family also has one row kernel, axpy(dst, f, src, start), which adds
+f * src[j] to dst[j] for j >= start in place: with tables it takes log f
+once and reads exp[(log f + log src[j]) % (order - 1)] per cell, joined to
+dst[j] by XOR or by Zech.  rref, mat_mul and span do their row updates with
+it.
 
 Element codes are plain ints: an element sum(c_i * z^i) with c_i in F_q is
 encoded as sum(code(c_i) * q^i), and a base-field element sum(b_j * x^j) with
@@ -39,6 +57,7 @@ identity on codes.
 """
 
 import itertools
+import operator
 
 TABLE_LIMIT = 1 << 20
 _SPREAD_LIMIT = 1 << 10     # entries of a Kronecker spread table
@@ -280,6 +299,134 @@ def _digit_add_table(p, c):
 
 
 # ---------------------------------------------------------------------------
+# arithmetic closures per field family, bound by Field._bind_ops; each axpy
+# is the row kernel dst[j] += f * src[j] for j >= start, in place
+
+def _prime_ops(p):
+    """Fields of dimension 1 over F_p: codes are residues mod p."""
+    def add(x, y):
+        return (x + y) % p
+
+    def sub(x, y):
+        return (x - y) % p
+
+    def neg(x):
+        return -x % p
+
+    def mul(x, y):
+        return x * y % p
+
+    def axpy(dst, f, src, start=0):
+        for j in range(start, len(src)):
+            y = src[j]
+            if y:
+                dst[j] = (dst[j] + f * y) % p
+
+    return {"add": add, "sub": sub, "neg": neg, "mul": mul, "axpy": axpy}
+
+
+def _same(x):
+    return x
+
+
+def _table_mul(exp, log):
+    n1 = len(exp)
+
+    def mul(x, y):
+        if x and y:
+            return exp[(log[x] + log[y]) % n1]
+        return 0
+    return mul
+
+
+def _xor_table_ops(exp, log):
+    """Table fields of characteristic 2: addition is XOR."""
+    n1 = len(exp)
+
+    def axpy(dst, f, src, start=0):
+        if f:
+            lf = log[f]
+            for j in range(start, len(src)):
+                y = src[j]
+                if y:
+                    dst[j] ^= exp[(lf + log[y]) % n1]
+
+    return {"add": operator.xor, "sub": operator.xor, "neg": _same,
+            "mul": _table_mul(exp, log), "axpy": axpy}
+
+
+def _zech_ops(p, exp, log):
+    """Table fields of odd characteristic: addition by Zech logarithms.
+
+    With Z[k] = log(1 + gamma^k), gamma^a + gamma^b = gamma^(a + Z[b - a]).
+    -1 = gamma^(n1/2), so Z[n1/2] is the sentinel None: x + (-x) = 0.
+    1 + gamma^k adds 1 to the lowest base-p digit of the code gamma^k.  The
+    list Z has one entry per nonzero element; it is filled on the first
+    add or axpy, so building a field and multiplying in it never pays for
+    it.
+    A difference of two logs lies in (-n1, n1), and a negative index reads
+    Z[k + n1], so the lookups Z[b - a] need no reduction mod n1.
+    """
+    n1 = len(exp)
+    half = n1 // 2
+    zech = None
+
+    def fill():
+        nonlocal zech
+        zech = [log[e + 1 if e % p != p - 1 else e + 1 - p] for e in exp]
+        zech[half] = None
+
+    def add(x, y):
+        if not x:
+            return y
+        if not y:
+            return x
+        if zech is None:
+            fill()
+        lx = log[x]
+        z = zech[log[y] - lx]
+        return 0 if z is None else exp[(lx + z) % n1]
+
+    def neg(x):
+        return exp[(log[x] + half) % n1] if x else 0
+
+    def sub(x, y):
+        return add(x, neg(y))
+
+    def axpy(dst, f, src, start=0):
+        if not f:
+            return
+        if zech is None:
+            fill()
+        lf = log[f]
+        for j in range(start, len(src)):
+            y = src[j]
+            if y:
+                lt = (lf + log[y]) % n1       # the log of f * y
+                d = dst[j]
+                if d:
+                    ld = log[d]
+                    z = zech[lt - ld]
+                    dst[j] = 0 if z is None else exp[(ld + z) % n1]
+                else:
+                    dst[j] = exp[lt]
+
+    return {"add": add, "sub": sub, "neg": neg, "mul": _table_mul(exp, log),
+            "axpy": axpy}
+
+
+def _no_table_ops(fld):
+    """Fields without tables: the product of Field._poly_mul (carry-less,
+    Kronecker or schoolbook), and XOR in characteristic 2.  Odd
+    characteristic keeps the digit-wise class methods and the generic
+    Field.axpy."""
+    ops = {"mul": fld._poly_mul}
+    if fld.p == 2:
+        ops.update(add=operator.xor, sub=operator.xor, neg=_same)
+    return ops
+
+
+# ---------------------------------------------------------------------------
 # the field tower F_p -> F_q -> F_{q^m}
 
 _FIELD_CACHE = {}
@@ -337,8 +484,27 @@ class Field:
             self._build_tables()
         self.basis = tuple(self.q ** i for i in range(m))
         self._frob_maps = []       # sigma^1, sigma^2, ... as they are needed
+        self._bind_ops()
 
     # -- construction helpers ------------------------------------------------
+
+    def _bind_ops(self):
+        """Shadow add, sub, neg, mul and axpy by this family's closures.
+
+        The class methods stay as the reference: deleting an instance
+        attribute (as a wrapper that counts calls does when it is removed)
+        lets the class method show through again, with the same results.
+        """
+        if self.dim == 1:
+            ops = _prime_ops(self.p)
+        elif not self.has_tables:
+            ops = _no_table_ops(self)
+        elif self.p == 2:
+            ops = _xor_table_ops(self.exp, self.log)
+        else:
+            ops = _zech_ops(self.p, self.exp, self.log)
+        for name, fn in ops.items():
+            setattr(self, name, fn)
 
     def _find_modulus(self):
         for code in range(self.q ** self.m):
@@ -493,6 +659,13 @@ class Field:
     def sub(self, x, y):
         return self.add(x, self.neg(y))
 
+    def axpy(self, dst, f, src, start=0):
+        """The row kernel: dst[j] += f * src[j] for every j >= start."""
+        add, mul = self.add, self.mul
+        for j in range(start, len(src)):
+            if src[j]:
+                dst[j] = add(dst[j], mul(f, src[j]))
+
     def mul(self, x, y):
         if x == 0 or y == 0:
             return 0
@@ -581,30 +754,14 @@ class Field:
 # matrices and exact linear algebra (row lists of int codes)
 
 def mat_mul(field, a, b):
-    add, mul = field.add, field.mul
+    axpy = field.axpy
     nb = len(b[0]) if b else 0
     out = []
     for row in a:
         acc = [0] * nb
         for k, x in enumerate(row):
             if x:
-                brow = b[k]
-                for j in range(nb):
-                    y = brow[j]
-                    if y:
-                        acc[j] = add(acc[j], mul(x, y))
-        out.append(acc)
-    return out
-
-
-def mat_vec(field, a, v):
-    add, mul = field.add, field.mul
-    out = []
-    for row in a:
-        acc = 0
-        for x, y in zip(row, v):
-            if x and y:
-                acc = add(acc, mul(x, y))
+                axpy(acc, x, b[k])
         out.append(acc)
     return out
 
@@ -614,22 +771,24 @@ def span(field, rows, offset=None):
 
     Messages (c_1, ..., c_k) come in itertools.product(field.elements(),
     repeat=k) order, so c_k varies fastest; offset None means the zero word.
-    Every multiple c*row is computed once and the word of each message
-    prefix is kept, so each word costs one vector addition.  rows and offset
-    are never mutated, and every yielded word is a new list that the caller
-    may keep or change.  With no rows the only word is a copy of offset
-    (empty when offset is None).
+    The word of each message prefix is kept, so each word costs one copy and
+    one row kernel call.  rows and offset are never mutated, and every
+    yielded word is a new list that the caller may keep or change.  With no
+    rows the only word is a copy of offset (empty when offset is None).
     """
-    add = field.add
-    multiples = [[[field.mul(c, g) for g in row] for c in field.elements()]
-                 for row in rows]
+    axpy = field.axpy
+    elements = field.elements()
 
     def extend(word, i):
-        if i == len(multiples):
+        if i == len(rows):
             yield word
             return
-        for mult in multiples[i]:
-            yield from extend([add(a, b) for a, b in zip(word, mult)], i + 1)
+        row = rows[i]
+        for c in elements:
+            new = list(word)
+            if c:
+                axpy(new, c, row)
+            yield from extend(new, i + 1)
 
     if offset is None:
         offset = [0] * (len(rows[0]) if rows else 0)
@@ -641,7 +800,7 @@ def rref(field, rows):
     rows = [list(r) for r in rows]
     if not rows:
         return rows, []
-    add, mul, inv, neg = field.add, field.mul, field.inv, field.neg
+    mul, inv, neg, axpy = field.mul, field.inv, field.neg, field.axpy
     ncols = len(rows[0])
     pivots = []
     r = 0
@@ -658,11 +817,7 @@ def rref(field, rows):
                     pr[j] = mul(pr[j], f)
         for i in range(len(rows)):
             if i != r and rows[i][c]:
-                f = neg(rows[i][c])
-                ri = rows[i]
-                for j in range(c, ncols):
-                    if pr[j]:
-                        ri[j] = add(ri[j], mul(f, pr[j]))
+                axpy(rows[i], neg(rows[i][c]), pr, c)
         pivots.append(c)
         r += 1
         if r == len(rows):
@@ -672,34 +827,6 @@ def rref(field, rows):
 
 def rank(field, rows):
     return len(rref(field, rows)[1])
-
-
-def rank_bruteforce(field, rows):
-    """Rank via exhaustive minor search; test oracle for matrices <= 4x4."""
-    n, m = len(rows), len(rows[0]) if rows else 0
-    if n > 4 or m > 4:
-        raise ValueError("oracle limited to 4x4")
-    for k in range(min(n, m), 0, -1):
-        for ri in itertools.combinations(range(n), k):
-            for ci in itertools.combinations(range(m), k):
-                sub = [[rows[i][j] for j in ci] for i in ri]
-                if _det(field, sub) != 0:
-                    return k
-    return 0
-
-
-def _det(field, rows):
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    add, mul, neg = field.add, field.mul, field.neg
-    total = 0
-    for j in range(n):
-        if rows[0][j]:
-            minor = [r[:j] + r[j + 1:] for r in rows[1:]]
-            term = mul(rows[0][j], _det(field, minor))
-            total = add(total, term if j % 2 == 0 else neg(term))
-    return total
 
 
 def _kernel(field, red, pivots, ncols):

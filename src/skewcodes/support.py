@@ -273,9 +273,14 @@ def build_subcode_generator(pattern, spec, rng=None, max_resamples=64):
     kt = ktilde(pattern)
     if spec.k != kt:
         raise ValueError(f"spec dimension must be ktilde = {kt}")
+    return _padded_generator(pattern, spec, rng, max_resamples)
+
+
+def _padded_generator(pattern, spec, rng, max_resamples):
+    """build_subcode_generator for a spec whose k is known to be ktilde."""
     extended = ZeroPattern(pattern.n,
                            list(pattern.zeros)
-                           + [frozenset()] * (kt - pattern.k))
+                           + [frozenset()] * (spec.k - pattern.k))
     result = build_constrained_generator(spec, extended, rng, max_resamples)
     return result.generator[:pattern.k], result
 
@@ -467,8 +472,7 @@ def distributed_design(instance, rng=None, max_resamples=64):
     p, e = gf.prime_power(q)
     fld = gf.field(p, e, m)
     spec = lrs.default_spec(fld, blocks, kt)
-    generator, result = build_subcode_generator(pattern, spec, rng,
-                                                max_resamples)
+    generator, result = _padded_generator(pattern, spec, rng, max_resamples)
     return DesignResult(instance, source_lengths, n, kt, d, q, m, blocks,
                         pattern, result.spec, result.t_matrix, generator)
 

@@ -64,6 +64,17 @@ def test_support_check_keeps_blank_zero_rows(capsys, zeros, k):
     assert payload["ktilde"] == k
 
 
+@pytest.mark.parametrize("n, zeros, message", [
+    ("2", ";;", "--zeros gives k = 3 rows, more than --n 2"),
+    ("0", "", "--n 0 must be >= 1"),
+])
+def test_support_check_rejects_impossible_patterns(capsys, n, zeros, message):
+    assert cli.main(["support-check", "--n", n, "--zeros", zeros]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
 def test_support_build_keeps_blank_zero_rows(capsys):
     argv = ["--seed", "1", "support-build", "--n", "3", "--zeros", "1;;2",
             "--q", "3", "--m", "3", "--lengths", "2 1"]

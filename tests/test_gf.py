@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from skewcodes import gf
 
+from oracles import mat_vec, rank_bruteforce
+
 
 F4 = gf.field(2, 1, 2)   # F_4 with q=2, m=2: sigma(a) = a^2
 F8 = gf.field(2, 1, 3)
@@ -121,7 +123,7 @@ def test_solve_grs_kernel_dimension():
     basis = gf.right_kernel(fld, rows)
     assert len(basis) == 2
     for vec in basis:
-        assert gf.mat_vec(fld, rows, vec) == [0]
+        assert mat_vec(fld, rows, vec) == [0]
 
 
 def test_solve_inconsistent_returns_none():
@@ -139,16 +141,16 @@ def test_solve_roundtrip_random():
             if nrows > 1 and rng.random() < 0.3:
                 a[-1] = list(a[0])            # a dependent row
             x = [rng.randrange(fld.order) for _ in range(ncols)]
-            b = gf.mat_vec(fld, a, x)
+            b = mat_vec(fld, a, x)
             sol = gf.solve(fld, a, b)
             assert sol is not None
             x0, kern = sol
-            assert gf.mat_vec(fld, a, x0) == b
+            assert mat_vec(fld, a, x0) == b
             # the kernel read from the augmented rref is right_kernel's
             assert kern == gf.right_kernel(fld, a)
             assert len(kern) == ncols - gf.rank(fld, a)
             for vec in kern:
-                assert gf.mat_vec(fld, a, vec) == [0] * nrows
+                assert mat_vec(fld, a, vec) == [0] * nrows
 
 
 def test_rank_matches_minor_oracle():
@@ -159,7 +161,7 @@ def test_rank_matches_minor_oracle():
             m = rng.randrange(1, 5)
             rows = [[rng.randrange(fld.order) for _ in range(m)]
                     for _ in range(n)]
-            assert gf.rank(fld, rows) == gf.rank_bruteforce(fld, rows)
+            assert gf.rank(fld, rows) == rank_bruteforce(fld, rows)
 
 
 def test_norm_lands_in_base():
@@ -190,14 +192,17 @@ def test_base_elements_are_the_eta_powers():
         assert len(fld.base_elements()) == fld.q
 
 
-def test_no_table_field_matches_table_field():
-    # force the polynomial-arithmetic path on small fields and cross-check,
+def test_no_table_field_matches_table_field(monkeypatch):
+    # build small fields without tables, so that construction binds the
+    # polynomial-arithmetic ops, and cross-check them with the table field,
     # in characteristic 2 and in odd characteristic over one and two levels
     rng = random.Random(5)
     for p, e, m in ((2, 1, 4), (3, 1, 4), (3, 2, 2)):
         small = gf.field(p, e, m)
-        poly = gf.Field(p, m, small.base)
-        poly.has_tables = False
+        with monkeypatch.context() as patch:
+            patch.setattr(gf, "TABLE_LIMIT", 1)
+            poly = gf.Field(p, m, small.base)
+        assert not poly.has_tables
         for _ in range(300):
             a = rng.randrange(small.order)
             b = rng.randrange(small.order)
@@ -444,3 +449,92 @@ def test_span_matches_product_sum(data):
     assert (rows, offset) == before
     assert len({id(w) for w in words}) == len(words)
     assert all(w is not offset for w in words)
+
+
+# one field per closure family of Field._bind_ops: odd-characteristic tables
+# with Zech logarithms (even and odd dim, p = 5, the tower GF(9^2)), a prime
+# field, characteristic-2 tables (over GF(2) and the tower GF(4^3)), and no
+# tables (Kronecker and carry-less)
+OP_FIELDS = (gf.field(3, 1, 4), gf.field(3, 1, 5), gf.field(5, 1, 3),
+             gf.field(3, 2, 2), gf.field(7, 1, 1), gf.field(2, 1, 8),
+             gf.field(2, 2, 3), gf.field(7, 1, 11), gf.field(2, 1, 33))
+
+
+def _codes(fld):
+    top = fld.order - 1
+    return st.sampled_from([0, 1, top]) | st.integers(0, top)
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_bound_ops_match_class_methods(data):
+    fld = data.draw(st.sampled_from(OP_FIELDS), label="field")
+    x, y = data.draw(_codes(fld), label="x"), data.draw(_codes(fld), label="y")
+    ref = gf.Field
+    assert fld.add(x, y) == ref.add(fld, x, y)
+    assert fld.sub(x, y) == ref.sub(fld, x, y)
+    assert fld.neg(x) == ref.neg(fld, x)
+    assert fld.mul(x, y) == ref.mul(fld, x, y) == fld._poly_mul(x, y)
+    # the Zech sentinel: x + (-x) = 0
+    assert fld.add(x, fld.neg(x)) == 0
+    assert fld.add(fld.neg(x), x) == 0
+    assert fld.sub(x, x) == 0
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_axpy_matches_class_methods(data):
+    fld = data.draw(st.sampled_from(OP_FIELDS), label="field")
+    n = data.draw(st.integers(0, 6), label="n")
+    vec = st.lists(_codes(fld), min_size=n, max_size=n)
+    dst, src = data.draw(vec, label="dst"), data.draw(vec, label="src")
+    f = data.draw(_codes(fld), label="f")
+    start = data.draw(st.integers(0, n), label="start")
+    ref = gf.Field
+    # cancel some cells exactly: dst[j] = -f * src[j]
+    for j in data.draw(st.sets(st.integers(0, max(n - 1, 0))), label="zero"):
+        if j < n:
+            dst[j] = ref.neg(fld, ref.mul(fld, f, src[j]))
+    want = list(dst)
+    for j in range(start, n):
+        want[j] = ref.add(fld, want[j], ref.mul(fld, f, src[j]))
+    before = list(src)
+    fld.axpy(dst, f, src, start)
+    assert dst == want
+    assert src == before
+
+
+def _counting(fn, calls):
+    def op(*args):
+        calls.append(fn)
+        return fn(*args)
+    return op
+
+
+@pytest.mark.parametrize("key", [(3, 1, 4), (2, 1, 8), (5, 1, 1)])
+def test_wrapped_ops_fall_back_to_class_methods(key):
+    # A wrapper that counts calls is set on the field object and removed by
+    # delattr; the class method shows through and the arithmetic is the same.
+    p, e, m = key
+    prime = gf.Field(p)
+    fld = gf.Field(p, m, prime if e == 1 else gf.Field(p, e, prime))
+    rng = random.Random(31)
+    pairs = [(rng.randrange(fld.order), rng.randrange(1, fld.order))
+             for _ in range(50)]
+    rows = [[rng.randrange(fld.order) for _ in range(5)] for _ in range(4)]
+
+    def results():
+        return ([(fld.add(a, b), fld.mul(a, b), fld.neg(a), fld.inv(b))
+                 for a, b in pairs], gf.rref(fld, rows))
+
+    bound = results()
+    ops = ("add", "mul", "neg", "inv")
+    calls = []
+    for op in ops:
+        setattr(fld, op, _counting(getattr(fld, op), calls))
+    assert results() == bound
+    assert len(calls) >= 4 * len(pairs)
+    for op in ops:
+        delattr(fld, op)
+        assert getattr(fld, op).__func__ is getattr(gf.Field, op)
+    assert results() == bound

@@ -194,6 +194,29 @@ def test_subcode_generator_distance():
     assert d >= pattern.n - kt + 1
 
 
+def test_subcode_generator_rejects_other_dimension():
+    pattern = support.ZeroPattern(4, [{1}, {1}])
+    spec = lrs.default_spec(gf.field(3, 1, 3), (3, 1), 2)
+    with pytest.raises(ValueError, match="spec dimension must be ktilde = 3"):
+        support.build_subcode_generator(pattern, spec, random.Random(2))
+
+
+def test_distributed_design_computes_ktilde_once(monkeypatch):
+    calls = []
+
+    def counted(pattern):
+        calls.append(pattern)
+        return ktilde(pattern)
+
+    ktilde = support.ktilde
+    monkeypatch.setattr(support, "ktilde", counted)
+    inst = support.NetworkInstance(TOY.lengths, TOY.access, TOY.t, TOY.rho,
+                                   ell=1)
+    res = support.distributed_design(inst, random.Random(4))
+    assert len(calls) == 1
+    assert res.ktilde == ktilde(res.pattern) == res.spec.k
+
+
 def test_solver_matches_exhaustive_oracle():
     rng = random.Random(3)
     for _ in range(12):
