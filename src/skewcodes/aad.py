@@ -105,18 +105,17 @@ def _reducer(field, rows):
     with kernel span(rows), so it names each coset u + span(rows) by one
     word of length n - rank(rows)."""
     red, pivots = gf.rref(field, rows)
-    add, mul, neg = field.add, field.mul, field.neg
+    axpy, neg = field.axpy, field.neg
     steps = list(zip(pivots, red))
     free = [c for c in range(len(red[0])) if c not in pivots]
 
     def reduce(u):
         u = list(u)
+        # a reduced row is 0 left of its pivot and at the other pivots, so
+        # the update leaves the later pivot coordinates as they are
         for c, row in steps:
             if u[c]:
-                f = neg(u[c])
-                for j in free:
-                    if row[j]:
-                        u[j] = add(u[j], mul(f, row[j]))
+                axpy(u, neg(u[c]), row, c)
         return tuple(u[j] for j in free)
     return reduce
 

@@ -168,9 +168,8 @@ def cmd_netgap(args):
                "value": str(b.value) if b.value is not None else None,
                "log2": b.log2} for b in netgap.rmax_lower(params)]
     payload = {"theta": params.theta, "uppers": uppers, "lowers": lowers,
-               "qt_curves": netgap.qt_conditions(params, args.tmax)}
-    if params.alpha >= 2:
-        payload["gap"] = netgap.gap_bounds(params)
+               "qt_curves": netgap.qt_conditions(params, args.tmax),
+               "gap": netgap.gap_bounds(params)}
     _emit(args, payload)
 
 

@@ -829,12 +829,14 @@ def rank(field, rows):
     return len(rref(field, rows)[1])
 
 
-def _kernel(field, red, pivots, ncols):
-    """Kernel basis of the first ncols columns, read from one rref result.
+def right_kernel(field, rows):
+    """Basis of {x : rows * x = 0}, as a list of vectors.
 
-    One vector per free column f < ncols: 1 at f and minus column f of the
-    reduced rows at the pivot columns.
+    One vector per free column f: 1 at f and minus column f of the reduced
+    rows at the pivot columns.
     """
+    red, pivots = rref(field, rows)
+    ncols = len(rows[0]) if rows else 0
     pivot_set = set(pivots)
     free = [c for c in range(ncols) if c not in pivot_set]
     basis = []
@@ -846,30 +848,6 @@ def _kernel(field, red, pivots, ncols):
             vec[pc] = neg(red[r][fcol])
         basis.append(vec)
     return basis
-
-
-def right_kernel(field, rows):
-    """Basis of {x : rows * x = 0}, as a list of vectors."""
-    red, pivots = rref(field, rows)
-    return _kernel(field, red, pivots, len(rows[0]) if rows else 0)
-
-
-def solve(field, rows, rhs):
-    """Solve rows * x = rhs; returns (particular, kernel_basis) or None.
-
-    A None return signals an inconsistent system, not an error.  One rref of
-    the augmented system gives both parts: its pivots in the first columns
-    are those of rows alone, so the kernel equals right_kernel(rows).
-    """
-    ncols = len(rows[0]) if rows else 0
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    red, pivots = rref(field, aug)
-    if ncols in pivots:
-        return None
-    x = [0] * ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r][ncols]
-    return x, _kernel(field, red, pivots, ncols)
 
 
 def expand_matrix(field, vector):

@@ -47,6 +47,12 @@ class GrsSpec:
         return power_rows(self.field, self.locators, self.multipliers,
                           self.d - 1)
 
+    @cached_property
+    def parity_columns(self):
+        """(H * diag(v))^T, n rows of length d-1 (empty for d = 1), by which
+        the decoder multiplies R; callers must not change them."""
+        return [[h[j] for h in self.parity_rows] for j in range(self.n)]
+
 
 def power_rows(field, points, scales, count):
     """The count x n matrix with rows (scale_j * x_j^i)_j, i < count."""

@@ -5,13 +5,16 @@ The key-equation system S(t) x = -T(t) stacks per-row Hankel blocks of
 syndromes s_{i,r} = sum_p E_{i,p} v_p alpha_p^r, r < d-1.  The decoder
 takes the least solvable t*: the length of the shortest linear recurrence
 that generates every syndrome row, which multi-sequence shift-register
-synthesis finds in O(s (d-1)^2) field operations, so the system is solved
-at t* only.  Its solution x defines the monic g(y) = y^t* + sum x_l y^l
-whose roots must be t* distinct code locators.  The error columns then
-solve the square system sum_p v_p alpha_p^r E_{i,p} = s_{i,r}, r < t*, at
-those locators: it is invertible because the locators are distinct and
-nonzero, and the key equation makes the remaining syndromes agree, so its
-solution is the one Forney's formula gives.  A root outside the locator
+synthesis finds in O(s (d-1)^2) field operations.  The synthesis ends
+with that recurrence, a connection polynomial lambda (lambda_0 = 1), so
+x_l = lambda_{t*-l} solves the system at t* without a solver; the solution
+is unique iff rank S(t*) = t*.  x defines the monic g(y) = y^t* +
+sum x_l y^l whose roots must be t* distinct code locators.  The error
+columns then solve the square system
+sum_p v_p alpha_p^r E_{i,p} = s_{i,r}, r < t*, at those locators: it is
+invertible because the locators are distinct and nonzero, and the key
+equation makes the remaining syndromes agree, so its solution is the one
+Forney's formula gives.  A root outside the locator
 set or a non-unique solution is a decoding failure, never an exception.
 """
 
@@ -83,17 +86,7 @@ def sample_burst(field, s, n, t, rng, support=None, subfield=False):
 
 def syndromes(field, rows, spec):
     """R (H diag v)^T: an s x (d-1) matrix; depends only on the error."""
-    h = spec.parity_rows
-    add, mul = field.add, field.mul
-    out = []
-    for row in rows:
-        syn = [0] * (spec.d - 1)
-        for j, x in enumerate(row):
-            if x:
-                for r, hr in enumerate(h):
-                    syn[r] = add(syn[r], mul(x, hr[j]))
-        out.append(syn)
-    return out
+    return gf.mat_mul(field, rows, spec.parity_columns)
 
 
 def t_max_radius(d, s):
@@ -102,17 +95,14 @@ def t_max_radius(d, s):
 
 
 def _key_system(syns, t):
-    """S(t) as a row list and T(t) as its right-hand side, stacked per row."""
-    rows, rhs = [], []
-    for syn in syns:
-        for j in range(len(syn) - t):
-            rows.append(syn[j:j + t])
-            rhs.append(syn[j + t])
-    return rows, rhs
+    """The rows of S(t), stacked per syndrome row: syn[j:j + t] is the row
+    whose right-hand side entry of T(t) is syn[j + t]."""
+    return [syn[j:j + t] for syn in syns for j in range(len(syn) - t)]
 
 
 def _recurrence_length(field, syns):
-    """Length of the shortest linear recurrence that generates every row.
+    """(lam, length) of the shortest linear recurrence that generates every
+    row.
 
     Multi-sequence shift-register synthesis (Feng and Tzeng 1991; Schmidt,
     Sidorenko and Bossert 2009): time runs first, then each row in turn.
@@ -121,9 +111,10 @@ def _recurrence_length(field, syns):
     discrepancy, time and length stored when row l last made the length
     grow, starting at (1, 1, -1, 0).  A nonzero discrepancy delta of row l
     at time n is cancelled by lam - (delta / db) x^(n - m) b, which needs
-    length max(length, n - m + lb).  With all rows of length N the result
-    is the least t at which S(t) x = -T(t) is solvable (0 for zero rows,
-    N when no t < N is).
+    length max(length, n - m + lb).  With all rows of length N, length is
+    the least t at which S(t) x = -T(t) is solvable (0 for zero rows, N when
+    no t < N is), and lam has no nonzero entry past index length and obeys
+    sum_i lam[i] syn[n - i] = 0 for length <= n < N on every row.
     """
     add, mul, neg, inv = field.add, field.mul, field.neg, field.inv
     lam, length = [1], 0
@@ -147,17 +138,18 @@ def _recurrence_length(field, syns):
                 aux[l] = (lam, delta, n, length)
                 length = shift + lb
             lam = new
-    return length
+    return lam, length
 
 
 def joint_decode(rows, spec):
-    """Algorithm: zero syndromes return R; else solve the key equation at t*.
+    """Algorithm: zero syndromes return R; else decode at t*.
 
     t* is the least t at which S(t) x = -T(t) is solvable, found by
-    _recurrence_length without solving at any other t.  Solvability is
-    monotone in t (if g works at t, y g works at t + 1), so t* beyond the
-    radius means no t within it is solvable.  The one solve at t* decides
-    uniqueness (an empty kernel) and gives the locator polynomial g.
+    _recurrence_length without solving at any t.  Solvability is monotone
+    in t (if g works at t, y g works at t + 1), so t* beyond the radius
+    means no t within it is solvable.  The synthesis's connection polynomial
+    lam gives the solution x_l = lam[t* - l], hence the locator polynomial
+    g; it is the only solution iff rank S(t*) = t*, the rank oracle's test.
 
     No error column at the t* found locators is zero.  The key equation says
     each syndrome row obeys the recurrence whose characteristic polynomial
@@ -174,15 +166,15 @@ def joint_decode(rows, spec):
     if all(all(x == 0 for x in syn) for syn in syns):
         return DecodeOutcome(SUCCESS, [list(r) for r in rows], 0)
     tmax = t_max_radius(spec.d, s)
-    t_star = _recurrence_length(field, syns)
+    lam, t_star = _recurrence_length(field, syns)
     if t_star > tmax:
         return DecodeOutcome(FAILURE, None, None, "no solvable key equation "
                              f"within the radius {tmax}")
-    system, rhs = _key_system(syns, t_star)
-    x, kernel = gf.solve(field, system, [field.neg(b) for b in rhs])
-    if kernel:
+    if gf.rank(field, _key_system(syns, t_star)) < t_star:
         return DecodeOutcome(FAILURE, None, t_star,
                              "non-unique key-equation solution")
+    # x_l = lam[t* - l], lam zero-padded to t* + 1 entries
+    x = (lam + [0] * t_star)[t_star:0:-1]
     positions = _locator_roots(field, spec, x, t_star)
     if positions is None:
         return DecodeOutcome(FAILURE, None, t_star,
@@ -248,7 +240,7 @@ def rank_oracle(error, spec, s):
         return True
     rows = error.full_matrix(s, spec.n)
     syns = syndromes(field, rows, spec)
-    system, _ = _key_system(syns, t)
+    system = _key_system(syns, t)
     if not system:
         return False
     return gf.rank(field, system) == t

@@ -32,6 +32,8 @@ class CombNetParams:
             raise ValueError("need alpha, ell, t >= 1 and eps >= 0")
         if self.r < 1:
             raise ValueError(f"r = {self.r} must be >= 1")
+        if self.h < 1:
+            raise ValueError(f"h = {self.h} must be >= 1")
         gf.require_prime_power(self.q)
 
     @property
@@ -191,6 +193,20 @@ def best_bounds(params):
 # ---------------------------------------------------------------------------
 # (q, t) feasibility thresholds
 
+def _require_solvable_window(params):
+    """The thresholds need alpha >= 2 and h <= alpha*ell + eps; outside that
+    window no (q,t)-solution exists.  Inside it theta, alpha - 1, f and g
+    are all >= 1, so no threshold divides by zero."""
+    p = params
+    if p.alpha < 2:
+        raise ValueError(f"alpha = {p.alpha} must be >= 2 for (q,t) "
+                         "thresholds and gap bounds")
+    if p.h > p.alpha * p.ell + p.eps:
+        raise ValueError(f"h = {p.h} exceeds alpha*ell + eps = "
+                         f"{p.alpha * p.ell + p.eps}: no (q,t)-solution "
+                         "exists")
+
+
 def _necessary_ratio(params):
     """The ratio that q^(t l (eps t + 1)) must reach for a (q,t)-solution."""
     p = params
@@ -218,6 +234,7 @@ def qt_sufficient_log2(params, t):
 
 def qt_conditions(params, t_max):
     """Feasibility curves for t = 1..t_max, as log2(q^t) thresholds."""
+    _require_solvable_window(params)
     return [(t, qt_necessary_log2(params, t), qt_sufficient_log2(params, t))
             for t in range(1, t_max + 1)]
 
@@ -260,8 +277,7 @@ def min_qt_satisfying_necessary(params):
 def gap_bounds(params):
     """(gap_lb, gap_ub) plus the search witnesses, as a dict."""
     p = params
-    if p.alpha < 2:
-        raise ValueError("gap bounds need alpha >= 2")
+    _require_solvable_window(params)
     first_case = p.h >= 2 * p.ell + p.eps
     # upper bound: log2 q_s upper - A
     qs_ub_log2 = qt_sufficient_log2(params, 1)
@@ -274,12 +290,11 @@ def gap_bounds(params):
     # lower bound: log2 q_s lower - t_delta (resp. t_star)
     if first_case:
         # f(t) = (slope - eps) eps t^2 + slope t + 1 must grow for t_delta
-        # to exist; g always grows in the second case (h < 2 ell + eps)
-        slope = p.alpha * p.ell + 2 * p.eps - p.h
-        curvature = (slope - p.eps) * p.eps
-        if curvature < 0 or (curvature == 0 and slope <= 0):
-            raise ValueError(f"f(t) = {curvature} t^2 + {slope} t + 1 does "
-                             "not grow with t, so t_delta is undefined")
+        # to exist; in the window slope >= eps >= 0, so only slope = 0
+        # (eps = 0, h = alpha ell) fails.  g always grows in the second case
+        if p.alpha * p.ell + 2 * p.eps - p.h == 0:
+            raise ValueError("f(t) = 1 does not grow with t, so t_delta is "
+                             "undefined")
         qs_lb_log2 = qt_necessary_log2(params, 1)
         target = math.log2(p.r) - math.log2(p.beta)
         t_delta = 1

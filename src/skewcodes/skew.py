@@ -247,12 +247,10 @@ def skew_mul(f, g):
     # shifted[i] holds X^i * g as a coefficient list
     cur = list(g.coeffs)
     result = [0] * (len(f.coeffs) + len(g.coeffs) - 1)
-    add, mul = fld.add, fld.mul
+    add, axpy = fld.add, fld.axpy
     for i, fi in enumerate(f.coeffs):
         if fi:
-            for j, cj in enumerate(cur):
-                if cj:
-                    result[j] = add(result[j], mul(fi, cj))
+            axpy(result, fi, cur)
         if i + 1 < len(f.coeffs):
             # cur <- X * cur: (X*h)_j = theta(h_{j-1}) + delta(h_j)
             nxt = [0] * (len(cur) + 1)

@@ -297,17 +297,25 @@ class NetworkInstance:
     ell: int
 
     def __post_init__(self):
-        self.access = [frozenset(j) for j in self.access]
         for i, r in enumerate(self.lengths, 1):
             if r < 1:
                 raise ValueError(f"message length r_{i} = {r} must be >= 1")
+        if self.ell < 1:
+            raise ValueError(f"ell = {self.ell} must be >= 1")
+        for name, value in (("t", self.t), ("rho", self.rho)):
+            if value < 0:
+                raise ValueError(f"{name} = {value} must be >= 0")
         h = self.h
         if h > 12:
             raise ValueError("designer guard: h <= 12")
-        for idx, j in enumerate(self.access, 1):
+        access = [frozenset(j) for j in self.access]
+        for idx, j in enumerate(access, 1):
             if not j or any(not 1 <= i <= h for i in j):
                 raise ValueError(f"access set J_{idx} = {sorted(j)} must be "
                                  f"a nonempty subset of [1, {h}]")
+        # sources with one access set enter every constraint together, so
+        # they merge into one (its first place kept) with the optimum unchanged
+        self.access = list(dict.fromkeys(access))
 
     @property
     def h(self):

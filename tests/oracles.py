@@ -6,6 +6,8 @@ faster; the tests compare the two.
 
 import itertools
 
+from skewcodes import gf
+
 
 def mat_vec(field, a, v):
     """The product a * v of a row list and a vector, summed cell by cell."""
@@ -18,6 +20,32 @@ def mat_vec(field, a, v):
                 acc = add(acc, mul(x, y))
         out.append(acc)
     return out
+
+
+def solve(field, rows, rhs):
+    """Solve rows * x = rhs; returns (particular, kernel_basis) or None.
+
+    A None return signals an inconsistent system.  One rref of the augmented
+    system gives both parts: its pivots in the first columns are those of
+    rows alone, so the kernel is the one right_kernel(rows) reads.
+    """
+    ncols = len(rows[0]) if rows else 0
+    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
+    red, pivots = gf.rref(field, aug)
+    if ncols in pivots:
+        return None
+    x = [0] * ncols
+    for r, pc in enumerate(pivots):
+        x[pc] = red[r][ncols]
+    kernel = []
+    for fcol in range(ncols):
+        if fcol not in pivots:
+            vec = [0] * ncols
+            vec[fcol] = 1
+            for r, pc in enumerate(pivots):
+                vec[pc] = field.neg(red[r][fcol])
+            kernel.append(vec)
+    return x, kernel
 
 
 def rank_bruteforce(field, rows):

@@ -134,6 +134,37 @@ def test_dist_design_rejects_blank_access_part(capsys):
     assert "access set J_2 = [] must be a nonempty subset" in err
 
 
+@pytest.mark.parametrize("access, sizes", [
+    # the repeated "1 2" overwrote its twin: sizes summed to 3, not n = 6
+    ("1; 2; 1 2; 1 2", {"1": 1, "2": 2, "1 2": 3}),
+    ("1; 2; 1 2", {"1": 1, "2": 2, "1 2": 3}),
+])
+def test_dist_design_merges_repeated_access_sets(capsys, access, sizes):
+    argv = ["--seed", "1", "dist-design", "--lengths", "1 2", "--access",
+            access, "--t", "1", "--rho", "1", "--ell", "1"]
+    assert cli.main(argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["source_lengths"] == sizes
+    assert sum(sizes.values()) == payload["n"] == 6
+
+
+@pytest.mark.parametrize("option, value, message", [
+    # --ell 0 divided by zero (exit 3); --t -1 blamed the block lengths
+    ("--ell", "0", "ell = 0 must be >= 1"),
+    ("--t", "-1", "t = -1 must be >= 0"),
+    ("--rho", "-1", "rho = -1 must be >= 0"),
+])
+def test_dist_design_rejects_negative_parameters(capsys, option, value,
+                                                 message):
+    params = {"--t": "1", "--rho": "1", "--ell": "1", option: value}
+    argv = ["--seed", "1", "dist-design", "--lengths", "1 2", "--access",
+            "1; 2"] + [x for item in params.items() for x in item]
+    assert cli.main(argv) == cli.EXIT_INFEASIBLE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert message in err
+
+
 def test_netgap_command(tmp_path):
     out = tmp_path / "netgap.json"
     code = cli.main(["--out", str(out), "netgap", "--h", "12",
@@ -166,6 +197,22 @@ def test_netgap_rejects_r_below_one(capsys, r):
     out, err = capsys.readouterr()
     assert out == ""
     assert f"r = {r} must be >= 1" in err
+
+
+@pytest.mark.parametrize("args, message", [
+    # alpha = 1 and theta = 0 divided by zero (exit 3); h < 1 printed gaps
+    (("--h", "1", "--r", "1", "--alpha", "1", "--ell", "1", "--eps", "0"),
+     "alpha = 1 must be >= 2"),
+    (("--h", "3", "--r", "1", "--alpha", "2", "--ell", "1", "--eps", "0"),
+     "h = 3 exceeds alpha*ell + eps = 2"),
+    (("--h", "-2", "--r", "10", "--alpha", "2", "--ell", "1", "--eps", "0"),
+     "h = -2 must be >= 1"),
+])
+def test_netgap_rejects_unsolvable_window(capsys, args, message):
+    assert cli.main(["netgap", *args]) == cli.EXIT_INFEASIBLE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert message in err
 
 
 def test_il_sim_scan(tmp_path):

@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from skewcodes import gf, grscode, ildec
 
+from oracles import mat_vec, solve
+
 F8 = gf.field(2, 1, 3)
 F32 = gf.field(2, 1, 5)
 F64 = gf.field(2, 3, 2)     # q = 8, m = 2
@@ -218,10 +220,16 @@ def _scan_recurrence_length(field, syns):
     """Least t at which S(t) x = -T(t) is solvable, by an upward scan."""
     t = 0
     while True:
-        system, rhs = ildec._key_system(syns, t)
-        if gf.solve(field, system, [field.neg(b) for b in rhs]) is not None:
+        system = ildec._key_system(syns, t)
+        if solve(field, system, _neg_rhs(field, syns, t)) is not None:
             return t
         t += 1
+
+
+def _neg_rhs(field, syns, t):
+    """-T(t), in the row order of ildec._key_system."""
+    return [field.neg(syn[j + t]) for syn in syns
+            for j in range(len(syn) - t)]
 
 
 SYNDROME_FIELDS = (gf.field(2, 1, 1), gf.field(3, 1, 1), gf.field(2, 1, 2),
@@ -257,8 +265,13 @@ def test_recurrence_length_is_least_solvable_t(data):
             for _ in range(data.draw(st.integers(0, 2))):
                 row[data.draw(st.integers(0, length - 1))] = data.draw(elem)
         syns.append(row)
-    assert ildec._recurrence_length(fld, syns) == \
-        _scan_recurrence_length(fld, syns)
+    lam, length = ildec._recurrence_length(fld, syns)
+    assert length == _scan_recurrence_length(fld, syns)
+    # lam is the recurrence itself: x_l = lam[length - l] solves the system
+    assert lam[0] == 1 and not any(lam[length + 1:])
+    x = (lam + [0] * length)[length:0:-1]
+    assert mat_vec(fld, ildec._key_system(syns, length), x) == \
+        _neg_rhs(fld, syns, length)
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +376,7 @@ REFERENCE_FIELDS = (F8, gf.field(2, 1, 4), gf.field(2, 2, 2),
 def test_decoder_matches_scan_forney_reference(data):
     fld = data.draw(st.sampled_from(REFERENCE_FIELDS))
     n = data.draw(st.integers(3, min(fld.order - 1, 14)))
-    d = data.draw(st.integers(2, n))
+    d = data.draw(st.integers(1, n))
     s = data.draw(st.integers(1, 4))
     nonzero = st.integers(1, fld.order - 1)
     mults = data.draw(st.lists(nonzero, min_size=n, max_size=n))
