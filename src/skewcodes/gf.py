@@ -44,8 +44,8 @@ against, and they show through again if an instance attribute is deleted.
 Each family also has one row kernel, axpy(dst, f, src, start), which adds
 f * src[j] to dst[j] for j >= start in place: with tables it takes log f
 once and reads exp[(log f + log src[j]) % (order - 1)] per cell, joined to
-dst[j] by XOR or by Zech.  rref, mat_mul and span do their row updates with
-it.
+dst[j] by XOR or by Zech.  rref, rank, mat_mul and span do their row
+updates with it.
 
 Element codes are plain ints: an element sum(c_i * z^i) with c_i in F_q is
 encoded as sum(code(c_i) * q^i), and a base-field element sum(b_j * x^j) with
@@ -826,7 +826,30 @@ def rref(field, rows):
 
 
 def rank(field, rows):
-    return len(rref(field, rows)[1])
+    """Rank by inserting the rows into an echelon basis one at a time.
+
+    Each basis row has a pivot of 1 with zeros before it and at the pivots
+    of the rows inserted before it, so an incoming row is reduced by one
+    axpy per basis row, from that row's pivot column; a nonzero remainder
+    joins the basis.  The rank cannot exceed the column count, so the
+    loop stops once the basis holds ncols rows.
+    """
+    ncols = len(rows[0]) if rows else 0
+    inv, neg, axpy = field.inv, field.neg, field.axpy
+    basis = []      # (pivot column, row)
+    for row in rows:
+        if len(basis) == ncols:
+            break
+        row = list(row)
+        for c, b in basis:
+            if row[c]:
+                axpy(row, neg(row[c]), b, c)
+        lead = next((c for c, x in enumerate(row) if x), None)
+        if lead is not None:
+            unit = [0] * ncols
+            axpy(unit, inv(row[lead]), row, lead)
+            basis.append((lead, unit))
+    return len(basis)
 
 
 def right_kernel(field, rows):

@@ -9,13 +9,14 @@ synthesis finds in O(s (d-1)^2) field operations.  The synthesis ends
 with that recurrence, a connection polynomial lambda (lambda_0 = 1), so
 x_l = lambda_{t*-l} solves the system at t* without a solver; the solution
 is unique iff rank S(t*) = t*.  x defines the monic g(y) = y^t* +
-sum x_l y^l whose roots must be t* distinct code locators.  The error
-columns then solve the square system
-sum_p v_p alpha_p^r E_{i,p} = s_{i,r}, r < t*, at those locators: it is
-invertible because the locators are distinct and nonzero, and the key
-equation makes the remaining syndromes agree, so its solution is the one
-Forney's formula gives.  A root outside the locator
-set or a non-unique solution is a decoding failure, never an exception.
+sum x_l y^l whose roots must be t* distinct code locators.  A Chien search
+finds them: t* + 1 row-kernel calls over the rows of H diag(v) evaluate
+v_p g(alpha_p) at every locator at once.  The error columns then solve the
+square system sum_p v_p alpha_p^r E_{i,p} = s_{i,r}, r < t*, at those
+locators: it is invertible because the locators are distinct and nonzero,
+and the key equation makes the remaining syndromes agree, so its solution
+is the one Forney's formula gives.  A root outside the locator set or a
+non-unique solution is a decoding failure, never an exception.
 """
 
 from dataclasses import dataclass
@@ -111,12 +112,14 @@ def _recurrence_length(field, syns):
     discrepancy, time and length stored when row l last made the length
     grow, starting at (1, 1, -1, 0).  A nonzero discrepancy delta of row l
     at time n is cancelled by lam - (delta / db) x^(n - m) b, which needs
-    length max(length, n - m + lb).  With all rows of length N, length is
-    the least t at which S(t) x = -T(t) is solvable (0 for zero rows, N when
-    no t < N is), and lam has no nonzero entry past index length and obeys
+    length max(length, n - m + lb); the update is one axpy by a copy of b
+    shifted by n - m.  With all rows of length N, length is the least t at
+    which S(t) x = -T(t) is solvable (0 for zero rows, N when no t < N is),
+    and lam has no nonzero entry past index length and obeys
     sum_i lam[i] syn[n - i] = 0 for length <= n < N on every row.
     """
-    add, mul, neg, inv = field.add, field.mul, field.neg, field.inv
+    add, mul, neg, inv, axpy = (field.add, field.mul, field.neg, field.inv,
+                                field.axpy)
     lam, length = [1], 0
     aux = [([1], 1, -1, 0) for _ in syns]
     for n in range(len(syns[0])):
@@ -129,11 +132,8 @@ def _recurrence_length(field, syns):
                 continue
             b, db, m, lb = aux[l]
             shift = n - m
-            f = neg(mul(delta, inv(db)))
             new = lam + [0] * (shift + len(b) - len(lam))
-            for i, c in enumerate(b):
-                if c:
-                    new[i + shift] = add(new[i + shift], mul(f, c))
+            axpy(new, neg(mul(delta, inv(db))), [0] * shift + b, shift)
             if shift + lb > length:
                 aux[l] = (lam, delta, n, length)
                 length = shift + lb
@@ -190,20 +190,20 @@ def joint_decode(rows, spec):
 def _locator_roots(field, spec, x, t):
     """Positions p with g(alpha_p) = 0 for g(y) = y^t + sum x_l y^l.
 
-    Returns None unless exactly t distinct locator roots exist (a count of
-    t forces all roots simple and inside the locator set).
+    A Chien search through the row kernel: row l of H diag(v) holds
+    v_p alpha_p^l, so sum_l g_l * parity_rows[l] is (v_p g(alpha_p))_p, and
+    v_p != 0 makes its zero entries the roots.  Row t exists: the decoder
+    calls this with 1 <= t <= t_max_radius(d, s) = floor(s (d-1) / (s+1)),
+    which is below d - 1.  Returns None unless exactly t distinct locator
+    roots exist (a count of t forces all roots simple and inside the
+    locator set).
     """
-    add, mul = field.add, field.mul
-    coeffs = list(x) + [1]
-    roots = []
-    for j, a in enumerate(spec.locators):
-        acc = 0
-        for c in reversed(coeffs):
-            acc = add(mul(acc, a), c)
-        if acc == 0:
-            roots.append(j)
-            if len(roots) > t:
-                return None
+    h = spec.parity_rows
+    acc = list(h[t])
+    for c, row in zip(x, h):
+        if c:
+            field.axpy(acc, c, row)
+    roots = [p for p, y in enumerate(acc) if y == 0]
     return roots if len(roots) == t else None
 
 

@@ -114,15 +114,6 @@ def encode(spec, message):
     return gf.mat_mul(spec.field, [message], generator_matrix(spec))[0]
 
 
-def encode_by_evaluation(spec, message):
-    """Independent code path: b_j * f(alpha_j) for f = sum message_i X^i."""
-    fld = spec.field
-    f = spec.ring.poly(list(message))
-    locs = code_locators(spec)
-    mults = spec.flat_multipliers()
-    return [fld.mul(b, f.evaluate(a)) for a, b in zip(locs, mults)]
-
-
 def is_msrd(spec):
     """Brute-force check that d_SR = n - k + 1 (guard q^(mk) <= 2^24)."""
     gen = generator_matrix(spec)

@@ -234,6 +234,8 @@ def qt_sufficient_log2(params, t):
 
 def qt_conditions(params, t_max):
     """Feasibility curves for t = 1..t_max, as log2(q^t) thresholds."""
+    if t_max < 1:
+        raise ValueError(f"t_max = {t_max} must be >= 1")
     _require_solvable_window(params)
     return [(t, qt_necessary_log2(params, t), qt_sufficient_log2(params, t))
             for t in range(1, t_max + 1)]

@@ -4,19 +4,19 @@ The GM condition |intersection of Z_i over Omega| + |Omega| <= k is checked
 by max flow: for each anchor row, one min cut gives the least surplus
 |union of the complements [n] \\ Z_i| - |Omega| over the row sets Omega that
 contain it, and the condition holds iff every such surplus is >= n - k; the
-flow comes from plain augmenting paths.  gm_check_exhaustive, the test
-oracle, instead searches the closures of the deduplicated row groups (a
-violating Omega exists iff its full-group closure violates).  Constrained
-generators come from minimal skew polynomials (row i of T holds the
-coefficients of f_{Z_i}); the designer solves the covering ILP of the
-capacity and zero-constraint families exactly.
+flow comes from plain augmenting paths.  The test oracle instead searches
+the closures of the deduplicated row groups (a violating Omega exists iff
+its full-group closure violates).  Constrained generators come from minimal
+skew polynomials (row i of T holds the coefficients of f_{Z_i}); the
+designer solves the covering ILP of the capacity and zero-constraint
+families exactly.
 """
 
 import itertools
 import random
 from dataclasses import dataclass
 
-from . import gf, lrs, metric, skew
+from . import gf, lrs, skew
 
 
 @dataclass
@@ -33,13 +33,6 @@ class ZeroPattern:
     @property
     def k(self):
         return len(self.zeros)
-
-    def groups(self):
-        """Distinct Z values with their row indices."""
-        by_value = {}
-        for i, z in enumerate(self.zeros):
-            by_value.setdefault(z, []).append(i + 1)
-        return list(by_value.items())
 
 
 def _anchored_surplus(zeros, n, anchor):
@@ -122,22 +115,6 @@ def ktilde(pattern):
         surplus, _ = _anchored_surplus(pattern.zeros, pattern.n, i)
         best = max(best, pattern.n - surplus)
     return best
-
-
-def gm_check_exhaustive(pattern):
-    """Subset-enumeration oracle over deduplicated row groups (tests only)."""
-    groups = pattern.groups()
-    full = frozenset(range(1, pattern.n + 1))
-    for size in range(1, len(groups) + 1):
-        for subset in itertools.combinations(range(len(groups)), size):
-            inter = full
-            rows = []
-            for gi in subset:
-                inter = inter & groups[gi][0]
-                rows.extend(groups[gi][1])
-            if len(inter) + len(rows) > pattern.k:
-                return sorted(rows)
-    return None
 
 
 def pad_pattern(pattern):
@@ -412,22 +389,6 @@ def solve_source_lengths(instance):
     if best[0] is None:
         raise InfeasibleDesign(frozenset(), "no feasible assignment found")
     return {instance.access[i]: best[0][i] for i in range(s)}, best[1]
-
-
-def exhaustive_min_total(instance):
-    """Oracle: smallest feasible total by direct enumeration (h <= 5)."""
-    if instance.h > 5:
-        raise ValueError("oracle limited to h <= 5")
-    rows = _covering_rows(instance)
-    s = instance.s
-    cap = max(rhs for _, rhs, _, _ in rows)
-    for total in range(0, s * cap + 1):
-        for comp in metric.compositions(total, s):
-            ok = all(sum(comp[i] for i in touch) >= rhs
-                     for touch, rhs, _, _ in rows)
-            if ok:
-                return total
-    return None
 
 
 def split_blocks(n, ell):

@@ -6,7 +6,7 @@ faster; the tests compare the two.
 
 import itertools
 
-from skewcodes import gf
+from skewcodes import gf, lrs, metric, support
 
 
 def mat_vec(field, a, v):
@@ -75,3 +75,65 @@ def det(field, rows):
             term = mul(rows[0][j], det(field, minor))
             total = add(total, term if j % 2 == 0 else neg(term))
     return total
+
+
+def locator_roots(field, spec, x, t):
+    """Positions p with g(alpha_p) = 0 for g(y) = y^t + sum x_l y^l, by
+    Horner's rule at each locator; None unless exactly t roots exist."""
+    add, mul = field.add, field.mul
+    coeffs = list(x) + [1]
+    roots = []
+    for j, a in enumerate(spec.locators):
+        acc = 0
+        for c in reversed(coeffs):
+            acc = add(mul(acc, a), c)
+        if acc == 0:
+            roots.append(j)
+    return roots if len(roots) == t else None
+
+
+def gm_check_exhaustive(pattern):
+    """A violating row set of the GM condition, or None, by enumerating
+    unions of the groups of rows that share one Z value."""
+    by_value = {}
+    for i, z in enumerate(pattern.zeros):
+        by_value.setdefault(z, []).append(i + 1)
+    groups = list(by_value.items())
+    full = frozenset(range(1, pattern.n + 1))
+    for size in range(1, len(groups) + 1):
+        for subset in itertools.combinations(range(len(groups)), size):
+            inter = full
+            rows = []
+            for gi in subset:
+                inter = inter & groups[gi][0]
+                rows.extend(groups[gi][1])
+            if len(inter) + len(rows) > pattern.k:
+                return sorted(rows)
+    return None
+
+
+def exhaustive_min_total(instance):
+    """Smallest feasible total of the designer's ILP by direct enumeration
+    (h <= 5)."""
+    if instance.h > 5:
+        raise ValueError("oracle limited to h <= 5")
+    rows = support._covering_rows(instance)
+    s = instance.s
+    cap = max(rhs for _, rhs, _, _ in rows)
+    for total in range(0, s * cap + 1):
+        for comp in metric.compositions(total, s):
+            ok = all(sum(comp[i] for i in touch) >= rhs
+                     for touch, rhs, _, _ in rows)
+            if ok:
+                return total
+    return None
+
+
+def encode_by_evaluation(spec, message):
+    """LRS encoding by evaluation: b_j * f(alpha_j) for
+    f = sum message_i X^i."""
+    fld = spec.field
+    f = spec.ring.poly(list(message))
+    locs = lrs.code_locators(spec)
+    mults = spec.flat_multipliers()
+    return [fld.mul(b, f.evaluate(a)) for a, b in zip(locs, mults)]

@@ -215,6 +215,17 @@ def test_netgap_rejects_unsolvable_window(capsys, args, message):
     assert message in err
 
 
+@pytest.mark.parametrize("tmax", ["0", "-3"])
+def test_netgap_rejects_tmax_below_one(capsys, tmax):
+    # a t_max below 1 used to print an empty "qt_curves" list with exit 0
+    argv = ["netgap", "--h", "12", "--r", "800000", "--alpha", "18",
+            "--ell", "1", "--eps", "2", "--tmax", tmax]
+    assert cli.main(argv) == cli.EXIT_INFEASIBLE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"t_max = {tmax} must be >= 1" in err
+
+
 def test_il_sim_scan(tmp_path):
     out = tmp_path / "scan.json"
     code = cli.main(["--seed", "5", "--out", str(out), "il-sim",

@@ -164,6 +164,47 @@ def test_rank_matches_minor_oracle():
             assert gf.rank(fld, rows) == rank_bruteforce(fld, rows)
 
 
+# a prime field, char-2 and odd tables, and no tables (odd and char 2)
+RANK_FIELDS = (gf.field(7, 1, 1), gf.field(2, 1, 4), gf.field(3, 1, 3),
+               gf.field(7, 1, 11), gf.field(2, 1, 33))
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_rank_matches_rref_pivots(data):
+    fld = data.draw(st.sampled_from(RANK_FIELDS), label="field")
+    ncols = data.draw(st.integers(1, 6), label="ncols")
+    shape = data.draw(st.sampled_from(("tall", "wide", "square")),
+                      label="shape")
+    nrows = {"tall": data.draw(st.integers(ncols + 1, ncols + 5)),
+             "wide": data.draw(st.integers(0, ncols - 1)) if ncols > 1 else 0,
+             "square": ncols}[shape]
+    elem = st.integers(0, fld.order - 1)
+    vec = st.lists(elem, min_size=ncols, max_size=ncols)
+    # rows drawn from the span of a few generators, so that every rank
+    # occurs, with zero and repeated rows mixed in; a tall matrix of random
+    # rows usually reaches full column rank before its last row
+    gens = data.draw(st.lists(vec, min_size=1, max_size=ncols + 1),
+                     label="generators")
+    rows = []
+    for _ in range(nrows):
+        kind = data.draw(st.sampled_from(("span", "random", "zero", "dup")))
+        if kind == "zero":
+            rows.append([0] * ncols)
+        elif kind == "dup" and rows:
+            rows.append(list(data.draw(st.sampled_from(rows))))
+        elif kind == "span":
+            row = [0] * ncols
+            for g in gens:
+                fld.axpy(row, data.draw(elem), g)
+            rows.append(row)
+        else:
+            rows.append(data.draw(vec))
+    before = copy.deepcopy(rows)
+    assert gf.rank(fld, rows) == len(gf.rref(fld, rows)[1])
+    assert rows == before
+
+
 def test_norm_lands_in_base():
     for fld in (F16, F9, gf.field(2, 3, 2)):
         base_codes = set(fld.base_elements())

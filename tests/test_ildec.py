@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from skewcodes import gf, grscode, ildec
 
-from oracles import mat_vec, solve
+from oracles import locator_roots, mat_vec, solve
 
 F8 = gf.field(2, 1, 3)
 F32 = gf.field(2, 1, 5)
@@ -276,7 +276,8 @@ def test_recurrence_length_is_least_solvable_t(data):
 
 # ---------------------------------------------------------------------------
 # the earlier decoder, kept as the reference: key equation read from its own
-# rref, error values by Forney's formula, syndromes from a power table
+# rref, roots by Horner's rule, error values by Forney's formula, syndromes
+# from a power table
 
 def _reference_decode(rows, spec):
     field = spec.field
@@ -311,7 +312,7 @@ def _reference_decode(rows, spec):
         x = [0] * t
         for r, pc in enumerate(pivots):
             x[pc] = red[r][t]
-        positions = ildec._locator_roots(field, spec, x, t)
+        positions = locator_roots(field, spec, x, t)
         if positions is None:
             return ildec.DecodeOutcome(
                 ildec.FAILURE, None, t,
@@ -396,3 +397,49 @@ def test_decoder_matches_scan_forney_reference(data):
     # joint_decode proves this failure unreachable and no longer reports it
     assert expected.reason != "zero error column at a claimed position"
     assert ildec.joint_decode(rows, spec) == expected
+
+
+# char-2 tables (over GF(2) and GF(4)), odd tables with Zech logarithms, a
+# prime field, and an odd field without tables
+ROOT_FIELDS = (F8, gf.field(2, 2, 2), gf.field(3, 1, 2), gf.field(3, 1, 3),
+               gf.field(5, 1, 2), gf.field(7, 1, 1), gf.field(7, 1, 11))
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_locator_roots_match_horner(data):
+    fld = data.draw(st.sampled_from(ROOT_FIELDS), label="field")
+    nonzero = st.integers(1, fld.order - 1)
+    n = data.draw(st.integers(3, min(fld.order - 1, 14)), label="n")
+    locs = data.draw(st.lists(nonzero, min_size=n, max_size=n, unique=True),
+                     label="locators")
+    mults = data.draw(st.lists(nonzero, min_size=n, max_size=n),
+                      label="multipliers")
+    d = data.draw(st.integers(3, n), label="d")
+    spec = grscode.GrsSpec(fld, locs, mults, d)
+    t = data.draw(st.integers(1, d - 2), label="t")
+    kind = data.draw(st.sampled_from(("locators", "repeated", "outside",
+                                      "random")), label="kind")
+    if kind == "random":
+        x = data.draw(st.lists(st.integers(0, fld.order - 1), min_size=t,
+                               max_size=t), label="x")
+    else:
+        # g = prod (y - r) over t roots: distinct locators, or one of them
+        # repeated, or one element outside the locator set (0 included)
+        picks = data.draw(st.lists(st.integers(0, n - 1), min_size=t,
+                                   max_size=t, unique=True), label="picks")
+        roots = [locs[p] for p in picks]
+        if kind == "repeated" and t > 1:
+            roots[-1] = roots[0]
+        elif kind == "outside":
+            others = ([0] if fld.order > 1000 else
+                      sorted(set(range(fld.order)) - set(locs)))
+            roots[-1] = data.draw(st.sampled_from(others), label="outside")
+        g = [1]
+        for r in roots:
+            g = [fld.sub(a, fld.mul(r, b)) for a, b in zip([0] + g, g + [0])]
+        x = g[:t]
+        if kind == "locators":
+            assert ildec._locator_roots(fld, spec, x, t) == sorted(picks)
+    assert ildec._locator_roots(fld, spec, x, t) == \
+        locator_roots(fld, spec, x, t)
