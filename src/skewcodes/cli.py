@@ -94,8 +94,11 @@ def cmd_skew_eval(args):
 
 
 def cmd_lrs_gen(args):
+    lengths = tuple(_parse_ints(args.lengths))
+    # before the field: a large m spends seconds in the modulus search
+    lrs.check_shape(args.q, args.m, lengths, args.k)
     fld = gf.field_q(args.q, args.m)
-    spec = lrs.default_spec(fld, tuple(_parse_ints(args.lengths)), args.k)
+    spec = lrs.default_spec(fld, lengths, args.k)
     gen = lrs.generator_matrix(spec)
     payload = {"n": spec.n, "k": spec.k, "blocks": list(spec.lengths),
                "locators": lrs.code_locators(spec), "matrix": gen}
@@ -131,8 +134,10 @@ def cmd_support_check(args):
 def cmd_support_build(args):
     seed = _require_seed(args)
     pattern = _pattern_from_args(args)
+    lengths = tuple(_parse_ints(args.lengths))
+    lrs.check_shape(args.q, args.m, lengths, pattern.k)
     fld = gf.field_q(args.q, args.m)
-    spec = lrs.default_spec(fld, tuple(_parse_ints(args.lengths)), pattern.k)
+    spec = lrs.default_spec(fld, lengths, pattern.k)
     rng = bench.SplitMix64(seed)
     result = support.build_constrained_generator(spec, pattern, rng)
     _emit(args, {"attempts": result.attempts,

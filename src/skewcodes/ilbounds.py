@@ -106,6 +106,8 @@ class BoundInputs:
 
     def __post_init__(self):
         gf.require_prime_power(self.q)
+        if self.m < 1:
+            raise ValueError(f"extension degree m = {self.m} must be >= 1")
         if self.d < 1:
             raise ValueError(f"designed distance d = {self.d} must be >= 1")
         if self.s < 1:

@@ -22,14 +22,9 @@ class LrsSpec:
 
     def __post_init__(self):
         fld = self.field
+        check_shape(fld.q, fld.m, self.lengths, self.k)
         self.ring = skew.SkewRing(fld)
         ell = len(self.lengths)
-        if ell > fld.q - 1:
-            raise ValueError("need ell <= q - 1 nonzero conjugacy classes")
-        if any(nl > fld.m or nl < 1 for nl in self.lengths):
-            raise ValueError("block lengths must satisfy 1 <= n_l <= m")
-        if not 1 <= self.k <= self.n:
-            raise ValueError("need 1 <= k <= n")
         if self.representatives is None:
             self.representatives = [fld.power(fld.gamma, l)
                                     for l in range(ell)]
@@ -37,7 +32,7 @@ class LrsSpec:
             self.multipliers = default_multipliers(fld, self.lengths)
         if len(self.representatives) != ell:
             raise ValueError("one representative per block")
-        if sum(len(b) for b in self.multipliers) != self.n:
+        if [len(b) for b in self.multipliers] != list(self.lengths):
             raise ValueError("multiplier blocks must match the lengths")
         reps = [self.ring.conjugacy_class(a) for a in self.representatives]
         if 0 in reps or len(set(reps)) != ell:
@@ -64,6 +59,20 @@ class LrsSpec:
         return [b for block in self.multipliers for b in block]
 
 
+def check_shape(q, m, lengths, k):
+    """The conditions on an LRS shape that need no field: ell <= q - 1,
+    1 <= n_l <= m and 1 <= k <= n."""
+    if len(lengths) > q - 1:
+        raise ValueError(f"need ell <= q - 1 nonzero conjugacy classes: "
+                         f"ell = {len(lengths)}, q = {q}")
+    for nl in lengths:
+        if not 1 <= nl <= m:
+            raise ValueError(f"block lengths must satisfy 1 <= n_l <= m: "
+                             f"n_l = {nl}, m = {m}")
+    if not 1 <= k <= sum(lengths):
+        raise ValueError(f"need 1 <= k <= n: k = {k}, n = {sum(lengths)}")
+
+
 def default_multipliers(fld, lengths):
     """Block l gets consecutive powers gamma^(l-1), ..., gamma^(l-1+n_l-1)."""
     return [[fld.power(fld.gamma, l + t) for t in range(nl)]
@@ -75,17 +84,19 @@ def default_spec(field, lengths, k):
 
 
 def code_locators(spec):
-    """The n locators a_l beta_{l,t}^(q-1); checked P-independent."""
+    """The n locators a_l beta_{l,t}^(q-1), block by block.
+
+    They are P-independent by the criterion of Lam and Leroy (J. Algebra
+    119, 1988; see Martinez-Penas, J. Algebra 504, 2018) that LrsSpec
+    enforces: the a_l lie in pairwise distinct nonzero conjugacy classes
+    (conjugacy_class), and the beta_{l,t} of each block are F_q-linearly
+    independent (rank_q(block) == len(block)).
+    """
     fld = spec.field
-    blocks = [[fld.mul(a, fld.power(b, fld.q - 1)) for b in block]
-              for a, block in zip(spec.representatives, spec.multipliers)]
-    for l, part in enumerate(blocks):
-        if not skew.is_p_independent(spec.ring, part):
-            raise ValueError(f"block {l + 1} locators are not P-independent")
-    locs = [x for part in blocks for x in part]
-    if not skew.is_p_independent(spec.ring, locs):
-        raise ValueError("locator set is not P-independent")
-    return locs
+    e = fld.q - 1
+    return [fld.mul(a, fld.power(b, e))
+            for a, block in zip(spec.representatives, spec.multipliers)
+            for b in block]
 
 
 def generator_matrix(spec):

@@ -71,13 +71,6 @@ class NetBound:
     value: Fraction = None     # exact value when rational
     log2: float = None         # always set when applicable
 
-    def check_consistency(self, rel_tol=1e-9):
-        """Exact and log views agree within rel_tol when both exist."""
-        if self.applicable and self.value is not None and self.value > 0:
-            exact = _log2_fraction(self.value)
-            return abs(exact - self.log2) <= rel_tol * max(1.0, abs(exact))
-        return True
-
 
 def _log2_fraction(x):
     return math.log2(x.numerator) - math.log2(x.denominator)

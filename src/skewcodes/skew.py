@@ -9,8 +9,6 @@ computed through the truncated norms N_0(a)=1, N_{i+1}(a)=theta(N_i(a))*a
 
 from dataclasses import dataclass, field as dc_field
 
-from . import gf
-
 
 class SkewRing:
     """Ring descriptor: field, automorphism power and derivation parameter."""
@@ -52,10 +50,6 @@ class SkewRing:
 
     def monomial(self, degree, coeff=1):
         return SkewPolynomial(self, [0] * degree + [coeff])
-
-    def truncated_norm(self, i, a):
-        """N_i(a), the last entry of norm_sequence(i + 1, a)."""
-        return self.norm_sequence(i + 1, a)[-1]
 
     def norm_sequence(self, k, a):
         """[N_0(a), ..., N_{k-1}(a)]: N_0 = 1, N_{i+1}(a) = theta(N_i(a))*a
@@ -137,9 +131,6 @@ class SkewPolynomial:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
-    def is_monic(self):
-        return bool(self.coeffs) and self.coeffs[-1] == 1
-
     def copy(self):
         return SkewPolynomial(self.ring, list(self.coeffs))
 
@@ -197,39 +188,6 @@ class SkewPolynomial:
             if c and n:
                 acc = f.add(acc, f.mul(c, n))
         return acc
-
-    def to_right_form(self):
-        """Coefficients g_i with f = sum X^i g_i (right form).
-
-        Peels one coefficient per step from f = g_0 + X*h, solving
-        f_j = theta(h_{j-1}) + delta(h_j) top-down for h.
-        """
-        ring = self.ring
-        fld = ring.field
-        rem = list(self.coeffs)
-        out = []
-        while rem and any(rem):
-            d = len(rem) - 1
-            if d == 0:
-                out.append(rem[0])
-                break
-            h = [0] * d
-            h[d - 1] = ring.theta_inv(rem[d])
-            for j in range(d - 1, 0, -1):
-                h[j - 1] = ring.theta_inv(fld.sub(rem[j], ring.delta(h[j])))
-            out.append(fld.sub(rem[0], ring.delta(h[0])))
-            rem = h
-        return out
-
-    @classmethod
-    def from_right_form(cls, ring, right_coeffs):
-        """Build the left form of sum X^i g_i."""
-        total = ring.zero()
-        for i, g in enumerate(right_coeffs):
-            if g:
-                term = ring.monomial(i) * ring.poly([g])
-                total = total + term
-        return total
 
     def __repr__(self):
         if self.is_zero():
@@ -352,31 +310,3 @@ def minimal_polynomial(ring, omega):
         if v != 0:
             g = ring.x_minus(ring.conjugate(a, v)) * g
     return g
-
-
-def minimal_polynomial_lclm(ring, omega):
-    """Cross-check construction: lclm over X - alpha."""
-    omega = list(omega)
-    if not omega:
-        raise ValueError("minimal polynomial of the empty set")
-    acc = ring.x_minus(omega[0])
-    for a in omega[1:]:
-        _, acc, _ = gcrd_lclm(acc, ring.x_minus(a))
-    return acc
-
-
-def vandermonde(ring, omega):
-    """(theta,delta)-Vandermonde matrix V_k(omega), k = |omega|: row i holds
-    N_i(a_j)."""
-    omega = list(omega)
-    k = len(omega)
-    cols = [ring.norm_sequence(k, a) for a in omega]
-    return [[col[i] for col in cols] for i in range(k)]
-
-
-def is_p_independent(ring, omega):
-    """|omega| == rank of the square (theta,delta)-Vandermonde matrix."""
-    omega = list(omega)
-    if not omega:
-        return True
-    return gf.rank(ring.field, vandermonde(ring, omega)) == len(omega)

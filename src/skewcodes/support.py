@@ -35,63 +35,93 @@ class ZeroPattern:
         return len(self.zeros)
 
 
-def _anchored_surplus(zeros, n, anchor):
-    """(surplus, Omega) for the row sets Omega that contain the anchor.
+def _flow_graph(zeros, n, anchor):
+    """Residual graph source -> row i -> columns Y_i -> sink, Y_i = [n] \\ Z_i.
 
-    surplus is the min of |union Y| - |Omega|, where Y_i = [n] \\ Z_i, read
-    from a min cut (source -> row i -> columns Y_i -> sink) of _max_flow,
-    and Omega is the least minimizing row set, as 1-based row numbers.
-
-    The GM condition at dimension k is equivalent to every anchored surplus
-    being >= n - k, and ktilde = n - min_i surplus_i.
+    Node 0 is the source, 1..k the rows, k + 1..k + n the columns and
+    k + n + 1 the sink.  An arc is [head, residual capacity, index of the
+    reverse arc in graph[head]]; graph[0][i] is the arc into row i + 1, and
+    the last arc of each column goes to the sink.  The source arc of the
+    anchor row and every row -> column arc are unbounded; the others have
+    capacity 1.
     """
     nrows = len(zeros)
-    src, snk = 0, nrows + n + 1
-    inf = nrows + n + 10
     graph = [[] for _ in range(nrows + n + 2)]
 
     def arc(u, v, cap):
         graph[u].append([v, cap, len(graph[v])])
         graph[v].append([u, 0, len(graph[u]) - 1])
 
+    inf = nrows + n + 10
     for i in range(nrows):
-        arc(src, 1 + i, inf if i == anchor else 1)
+        arc(0, 1 + i, inf if i == anchor else 1)
         for y in range(1, n + 1):
             if y not in zeros[i]:
                 arc(1 + i, nrows + y, inf)
     for y in range(1, n + 1):
-        arc(nrows + y, snk, 1)
-    flow, reached = _max_flow(graph, src, snk)
+        arc(nrows + y, nrows + n + 1, 1)
+    return graph
+
+
+def _anchored_surplus(zeros, n, anchor):
+    """(surplus, Omega) for the row sets Omega that contain the anchor.
+
+    surplus is the min of |union Y| - |Omega|, where Y_i = [n] \\ Z_i, read
+    from a min cut of _max_flow on _flow_graph, and Omega is the least
+    minimizing row set, as 1-based row numbers.
+
+    The GM condition at dimension k is equivalent to every anchored surplus
+    being >= n - k, and ktilde = n - min_i surplus_i.
+    """
+    nrows = len(zeros)
+    graph = _flow_graph(zeros, n, anchor)
+    flow, reached = _max_flow(graph, 0, nrows + n + 1)
     return flow - nrows, sorted(u for u in reached if 1 <= u <= nrows)
 
 
-def _max_flow(graph, src, snk):
-    """Max flow by augmenting paths (Ford & Fulkerson 1956).
+def _push(graph, edge, units):
+    """Send units along an arc (a negative count cancels flow on it)."""
+    edge[1] -= units
+    graph[edge[0]][edge[2]][1] += units
 
-    Each path is a shortest one, found by breadth-first search, and carries
-    one unit, since every arc into snk has capacity 1.  Returns the flow and
-    the nodes reached by the last, failed search: the source side of the
-    least minimum cut.
+
+def _augment(graph, src, snk):
+    """Push one unit along a shortest augmenting path, found by breadth-first
+    search; every arc into snk has capacity 1.
+
+    Returns the nodes reached, each mapped to (previous node, arc used); snk
+    is among them iff a unit was pushed.  After a failed search they are
+    the source side of the least minimum cut.
+    """
+    came = {src: None}
+    queue = [src]
+    for u in queue:
+        for edge in graph[u]:
+            if edge[1] > 0 and edge[0] not in came:
+                came[edge[0]] = (u, edge)
+                queue.append(edge[0])
+        if snk in came:
+            break
+    if snk in came:
+        v = snk
+        while v != src:
+            v, edge = came[v]
+            _push(graph, edge, 1)
+    return came
+
+
+def _max_flow(graph, src, snk):
+    """Max flow by augmenting paths (Ford & Fulkerson 1956), one unit per
+    _augment.
+
+    Returns the flow and the nodes reached by the last, failed search: the
+    source side of the least minimum cut.
     """
     flow = 0
     while True:
-        came = {src: None}          # node -> (previous node, arc used)
-        queue = [src]
-        for u in queue:
-            for edge in graph[u]:
-                if edge[1] > 0 and edge[0] not in came:
-                    came[edge[0]] = (u, edge)
-                    queue.append(edge[0])
-            if snk in came:
-                break
-        if snk not in came:
-            return flow, came
-        v = snk
-        while v != src:
-            u, edge = came[v]
-            edge[1] -= 1
-            graph[v][edge[2]][1] += 1
-            v = u
+        reached = _augment(graph, src, snk)
+        if snk not in reached:
+            return flow, reached
         flow += 1
 
 
@@ -120,28 +150,64 @@ def ktilde(pattern):
 def pad_pattern(pattern):
     """Grow every Z_i to size k-1 while keeping the GM condition intact.
 
-    Greedy with a per-element feasibility recheck; since only Z_i changes,
-    it suffices to recheck the surplus anchored at row i.
+    Greedy over j = 1..n.  Adding j to Z_i only shrinks Y_i, so only the
+    surplus anchored at row i can fall, and with k rows it stays >= n - k
+    iff the max flow of _flow_graph(anchor i) still saturates all n column
+    arcs; _pad_row keeps one such flow per row.
     """
     k = pattern.k
     violation = gm_check(pattern)
     if violation is not None:
         raise ValueError(f"GM condition violated by rows {violation}")
     zeros = [set(z) for z in pattern.zeros]
-    n = pattern.n
-    for i in range(len(zeros)):
-        for j in range(1, n + 1):
-            if len(zeros[i]) >= k - 1:
-                break
-            if j in zeros[i]:
-                continue
-            zeros[i].add(j)
-            surplus, _ = _anchored_surplus(zeros, n, i)
-            if surplus < n - k:
-                zeros[i].discard(j)
+    for i in range(k):
+        if len(zeros[i]) < k - 1:
+            _pad_row(zeros, pattern.n, i)
         if len(zeros[i]) != k - 1:
             raise ValueError(f"could not pad row {i + 1} to size {k - 1}")
     return ZeroPattern(pattern.n, zeros)
+
+
+def _pad_row(zeros, n, i):
+    """Add to zeros[i] each j = 1..n that keeps the flow of anchor i at n,
+    until it holds k - 1 positions.
+
+    Adding j deletes the arc row i -> column j, which carries at most one
+    unit.  Without flow on it the flow stays maximal; otherwise that unit
+    is cancelled along source -> i -> j -> sink and one augmenting path
+    decides.
+
+    A row rejects at most one j, so after a rejection the next free
+    positions are added unchecked.  A rejection of j comes from a tight row
+    set Omega containing i (|intersection of its Z| + |Omega| = k, j in the
+    intersection of the Z of Omega minus i), and Z_i only grows, so Omega
+    stays tight.  The intersection of two tight sets through i is tight
+    (|intersection of Z| is supermodular), so a second rejection would make
+    {i} tight, i.e. Z_i full, or a set {i} + C tight with both rejected
+    positions outside Z_i in the intersection of the Z of C, one more than
+    GM on C allows.
+    """
+    k = len(zeros)
+    snk = k + n + 1
+    graph = _flow_graph(zeros, n, i)
+    _max_flow(graph, 0, snk)                # flow n: GM holds
+    arcs = {edge[0] - k: edge for edge in graph[1 + i][1:]}
+    for j in range(1, n + 1):
+        if len(zeros[i]) >= k - 1:
+            return
+        if j in zeros[i]:
+            continue
+        edge = arcs[j]
+        if graph[edge[0]][edge[2]][1]:      # flow on row i -> j
+            for e in (graph[0][i], edge, graph[k + j][-1]):
+                _push(graph, e, -1)
+            edge[1] = 0
+            if snk not in _augment(graph, 0, snk):
+                free = [y for y in range(j + 1, n + 1) if y not in zeros[i]]
+                zeros[i].update(free[:k - 1 - len(zeros[i])])
+                return
+        edge[1] = 0
+        zeros[i].add(j)
 
 
 def field_size_bound(k, q, lengths):
@@ -216,6 +282,9 @@ def build_constrained_generator(spec, pattern, rng=None, max_resamples=64):
     rng = rng or random.Random(0)
     if pattern.k != spec.k:
         raise ValueError("pattern must have k rows")
+    if pattern.n != spec.n:
+        raise ValueError(f"pattern has n = {pattern.n} columns, the code "
+                         f"has n = {spec.n}")
     padded = pad_pattern(pattern)
     need_m = field_size_bound(spec.k, spec.field.q, spec.lengths)
     if spec.field.m < need_m:

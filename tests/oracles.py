@@ -6,7 +6,7 @@ faster; the tests compare the two.
 
 import itertools
 
-from skewcodes import gf, lrs, metric, support
+from skewcodes import gf, lrs, metric, netgap, skew, support
 
 
 def mat_vec(field, a, v):
@@ -137,3 +137,98 @@ def encode_by_evaluation(spec, message):
     locs = lrs.code_locators(spec)
     mults = spec.flat_multipliers()
     return [fld.mul(b, f.evaluate(a)) for a, b in zip(locs, mults)]
+
+
+def vandermonde(ring, omega):
+    """(theta,delta)-Vandermonde matrix V_k(omega), k = |omega|: row i holds
+    N_i(a_j)."""
+    omega = list(omega)
+    k = len(omega)
+    cols = [ring.norm_sequence(k, a) for a in omega]
+    return [[col[i] for col in cols] for i in range(k)]
+
+
+def is_p_independent(ring, omega):
+    """|omega| == rank of the square (theta,delta)-Vandermonde matrix."""
+    omega = list(omega)
+    if not omega:
+        return True
+    return gf.rank(ring.field, vandermonde(ring, omega)) == len(omega)
+
+
+def minimal_polynomial_lclm(ring, omega):
+    """The minimal polynomial of omega as the lclm of the X - alpha."""
+    omega = list(omega)
+    if not omega:
+        raise ValueError("minimal polynomial of the empty set")
+    acc = ring.x_minus(omega[0])
+    for a in omega[1:]:
+        _, acc, _ = skew.gcrd_lclm(acc, ring.x_minus(a))
+    return acc
+
+
+def to_right_form(f):
+    """Coefficients g_i with f = sum X^i g_i (right form).
+
+    Peels one coefficient per step from f = g_0 + X*h, solving
+    f_j = theta(h_{j-1}) + delta(h_j) top-down for h.
+    """
+    ring = f.ring
+    fld = ring.field
+    rem = list(f.coeffs)
+    out = []
+    while rem and any(rem):
+        d = len(rem) - 1
+        if d == 0:
+            out.append(rem[0])
+            break
+        h = [0] * d
+        h[d - 1] = ring.theta_inv(rem[d])
+        for j in range(d - 1, 0, -1):
+            h[j - 1] = ring.theta_inv(fld.sub(rem[j], ring.delta(h[j])))
+        out.append(fld.sub(rem[0], ring.delta(h[0])))
+        rem = h
+    return out
+
+
+def from_right_form(ring, right_coeffs):
+    """The left form of sum X^i g_i."""
+    total = ring.zero()
+    for i, g in enumerate(right_coeffs):
+        if g:
+            total = total + ring.monomial(i) * ring.poly([g])
+    return total
+
+
+def bound_consistent(bound, rel_tol=1e-9):
+    """The exact value and the log2 of a NetBound agree within rel_tol when
+    both exist."""
+    if bound.applicable and bound.value is not None and bound.value > 0:
+        exact = netgap._log2_fraction(bound.value)
+        return abs(exact - bound.log2) <= rel_tol * max(1.0, abs(exact))
+    return True
+
+
+def pad_pattern(pattern):
+    """support.pad_pattern by one fresh max flow per candidate position:
+    greedy over j = 1..n, keeping j in Z_i iff the surplus anchored at
+    row i stays >= n - k."""
+    k = pattern.k
+    violation = support.gm_check(pattern)
+    if violation is not None:
+        raise ValueError(f"GM condition violated by rows {violation}")
+    zeros = [set(z) for z in pattern.zeros]
+    n = pattern.n
+    for i in range(len(zeros)):
+        for j in range(1, n + 1):
+            if len(zeros[i]) >= k - 1:
+                break
+            if j in zeros[i]:
+                continue
+            zeros[i].add(j)
+            surplus, _ = support._anchored_surplus(zeros, n, i)
+            if surplus < n - k:
+                zeros[i].discard(j)
+        if len(zeros[i]) != k - 1:
+            raise ValueError(f"could not pad row {i + 1} to size {k - 1}")
+    return support.ZeroPattern(pattern.n, zeros)

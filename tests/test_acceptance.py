@@ -11,6 +11,8 @@ import pytest
 from skewcodes import (aad, bench, gf, grscode, ilbounds, ildec, lrs, metric,
                        netgap, qlrs, skew, support)
 
+from oracles import bound_consistent
+
 MASTER_SEED = 20240817
 
 
@@ -330,7 +332,7 @@ def test_criterion_13_netgap():
                             q=2))
     for p in grid:
         for b in netgap.rmax_upper(p) + netgap.rmax_lower(p):
-            assert b.check_consistency(1e-9)
+            assert bound_consistent(b, 1e-9)
     # validity window: the general UB is not applicable when h - eps < 2 ell
     small = netgap.CombNetParams(h=4, r=10, alpha=3, ell=2, eps=1, q=2)
     names = {b.name: b for b in netgap.rmax_upper(small)}

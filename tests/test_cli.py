@@ -86,6 +86,22 @@ def test_support_build_keeps_blank_zero_rows(capsys):
         assert all(row[j - 1] == 0 for j in zeros)
 
 
+@pytest.mark.parametrize("n, zeros, lengths, named", [
+    ("5", "4; 5", "2 1", "pattern has n = 5 columns, the code has n = 3"),
+    ("3", "1; 2", "2 2", "pattern has n = 3 columns, the code has n = 4"),
+])
+def test_support_build_rejects_pattern_of_other_length(capsys, n, zeros,
+                                                       lengths, named):
+    # the first used to exit 3 (list index out of range), the second to
+    # print a 4-column generator for a 3-column pattern
+    argv = ["--seed", "1", "support-build", "--n", n, "--zeros", zeros,
+            "--q", "3", "--m", "2", "--lengths", lengths]
+    assert cli.main(argv) == cli.EXIT_INFEASIBLE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert named in err
+
+
 def test_support_build_requires_seed():
     code = cli.main(["support-build", "--n", "3", "--zeros", "1; 2",
                      "--q", "3", "--m", "2", "--lengths", "2 1"])
@@ -248,14 +264,17 @@ def test_il_bounds_csv(tmp_path):
 
 
 @pytest.mark.parametrize("extra, bad", [
-    (["--q", "6", "--d", "5"], "q = 6 is not a prime power"),
-    (["--q", "2", "--d", "0"], "d = 0 must be >= 1"),
-    (["--q", "2", "--d", "-4"], "d = -4 must be >= 1"),
-], ids=["q-6", "d-0", "d-4"])
+    (["--m", "8", "--q", "6", "--d", "5"], "q = 6 is not a prime power"),
+    (["--m", "8", "--q", "2", "--d", "0"], "d = 0 must be >= 1"),
+    (["--m", "8", "--q", "2", "--d", "-4"], "d = -4 must be >= 1"),
+    (["--m", "0", "--q", "2", "--d", "5"], "m = 0 must be >= 1"),
+    (["--m", "-1", "--q", "2", "--d", "5"], "m = -1 must be >= 1"),
+], ids=["q-6", "d-0", "d-4", "m-0", "m-1"])
 def test_il_bounds_rejects_impossible_inputs(capsys, extra, bad):
-    # each used to exit 0: numbers for GF(6), the row "1,,,,,0,," for d = 0
-    # and a bare header for d = -4
-    argv = ["il-bounds", "--m", "8", "--n", "30", "--s", "2"] + extra
+    # the first three used to exit 0: numbers for GF(6), the row
+    # "1,,,,,0,," for d = 0 and a bare header for d = -4; m <= 0 used to
+    # blame n, as "GRS needs n <= q^m - 1"
+    argv = ["il-bounds", "--n", "30", "--s", "2"] + extra
     assert cli.main(argv) == cli.EXIT_INFEASIBLE
     out, err = capsys.readouterr()
     assert out == ""
@@ -414,6 +433,23 @@ def test_qlrs_local_rejects_bad_tau_and_trials(capsys):
         out, err = capsys.readouterr()
         assert out == ""
         assert bad in err
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["lrs-gen", "--lengths", "5", "--k", "16"], "k = 16, n = 5"),
+    (["--seed", "1", "support-build", "--n", "30", "--zeros", "1; 2",
+      "--lengths", "28 2"], "n_l = 28, m = 27"),
+], ids=["lrs-gen", "support-build"])
+def test_lrs_shape_rejected_before_building_the_field(capsys, argv, named):
+    # both used to be rejected only after the degree-27 modulus search of
+    # GF(9^27), which runs for more than 10 s
+    start = time.perf_counter()
+    code = cli.main(argv + ["--q", "9", "--m", "27"])
+    assert time.perf_counter() - start < 1.0
+    assert code == cli.EXIT_INFEASIBLE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert named in err
 
 
 def test_module_entry_point():

@@ -1,10 +1,11 @@
+import itertools
 import random
 
 import pytest
 
 from skewcodes import gf, lrs, metric, skew
 
-from oracles import encode_by_evaluation
+from oracles import encode_by_evaluation, is_p_independent
 
 F9 = gf.field(3, 1, 2)       # q = 3, m = 2
 F256 = gf.field(2, 2, 4)     # q = 4, m = 4, the Example (GLRS) field
@@ -41,7 +42,64 @@ def test_glrs_example_locators_and_matrix():
 def test_locator_set_p_independent():
     spec = lrs.default_spec(F256, (4, 4, 4), 3)
     ring = skew.SkewRing(F256)
-    assert skew.is_p_independent(ring, lrs.code_locators(spec))
+    assert is_p_independent(ring, lrs.code_locators(spec))
+
+
+def _accepted(fld, lengths, reps, mults):
+    """The LrsSpec of these arguments, or None if LrsSpec rejects them."""
+    try:
+        return lrs.LrsSpec(fld, lengths, 1, representatives=list(reps),
+                           multipliers=[list(b) for b in mults])
+    except ValueError:
+        return None
+
+
+def _locators_p_independent(spec):
+    return is_p_independent(spec.ring, lrs.code_locators(spec))
+
+
+def test_accepted_specs_have_p_independent_locators_gf16():
+    # every LrsSpec over GF(4^2) with one block (any a, any one or two
+    # multipliers), and every representative tuple for two and three blocks
+    fld = gf.field(2, 2, 2)
+    accepted = 0
+    for a in fld.elements():
+        for nl in (1, 2):
+            for block in itertools.product(fld.elements(), repeat=nl):
+                spec = _accepted(fld, (nl,), [a], [block])
+                if spec is not None:
+                    accepted += 1
+                    assert _locators_p_independent(spec)
+    for lengths in ((2, 2), (2, 1, 2)):
+        mults = lrs.default_multipliers(fld, lengths)
+        for reps in itertools.product(fld.elements(), repeat=len(lengths)):
+            spec = _accepted(fld, lengths, reps, mults)
+            if spec is not None:
+                accepted += 1
+                assert _locators_p_independent(spec)
+    # 3 classes of 5 nonzero elements: 15 * (15 + 15 * 12) one-block specs,
+    # 5^2 * 3 * 2 two-block and 5^3 * 3! three-block tuples
+    assert accepted == 15 * 15 + 15 * 180 + 150 + 750
+
+
+@pytest.mark.parametrize("p, e, m", [(3, 1, 2), (3, 1, 3), (5, 1, 2),
+                                     (2, 2, 3), (7, 1, 2), (3, 2, 2),
+                                     (2, 1, 5)])
+def test_accepted_specs_have_p_independent_locators_random(p, e, m):
+    fld = gf.field(p, e, m)
+    rng = random.Random(p * 100 + e * 10 + m)
+    accepted = 0
+    for _ in range(300):
+        ell = rng.randrange(1, fld.q)
+        lengths = tuple(rng.randrange(1, m + 1) for _ in range(ell))
+        reps = [rng.randrange(fld.order) for _ in range(ell)]
+        mults = [[rng.randrange(fld.order) for _ in range(nl)]
+                 for nl in lengths]
+        spec = _accepted(fld, lengths, reps, mults)
+        if spec is not None:
+            accepted += 1
+            assert _locators_p_independent(spec)
+    assert accepted >= 90
 
 
 def test_k1_generator_is_multiplier_row():
@@ -106,6 +164,25 @@ def test_dependent_multipliers_rejected():
     # 1 and 2 are both in the prime field -> F_3-dependent
     with pytest.raises(ValueError):
         lrs.LrsSpec(fld, (2,), 1, representatives=[1], multipliers=[[1, 2]])
+
+
+def test_multiplier_blocks_must_match_each_length():
+    # the right total in the wrong blocks used to pass, and the code's
+    # blocks then differed from its sum-rank partition
+    with pytest.raises(ValueError, match="must match the lengths"):
+        lrs.LrsSpec(F256, (2, 1), 1, representatives=[1, F256.gamma],
+                    multipliers=[[1], [1, F256.gamma]])
+
+
+@pytest.mark.parametrize("lengths, k, named", [
+    ((1, 1, 1, 1), 1, "ell = 4, q = 4"), ((5,), 1, "n_l = 5, m = 4"),
+    ((2, 0), 1, "n_l = 0, m = 4"), ((2, 2), 5, "k = 5, n = 4"),
+    ((2,), 0, "k = 0, n = 2")])
+def test_shape_errors_name_their_values(lengths, k, named):
+    with pytest.raises(ValueError, match=named):
+        lrs.check_shape(F256.q, F256.m, lengths, k)
+    with pytest.raises(ValueError, match=named):
+        lrs.default_spec(F256, lengths, k)
 
 
 def test_conjugate_representatives_rejected():

@@ -2,8 +2,12 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from skewcodes import gf, skew
+
+from oracles import (from_right_form, is_p_independent, minimal_polynomial_lclm,
+                     to_right_form)
 
 
 F4 = gf.field(2, 1, 2)
@@ -15,6 +19,7 @@ R4D = skew.SkewRing(F4, beta=1)        # delta(a) = a - sigma(a) = sigma(a)+a
 R16 = skew.SkewRing(F16)
 R9 = skew.SkewRing(F9)
 R9D = skew.SkewRing(F9, beta=F9.gamma)
+R16T3D = skew.SkewRing(F16, 3, beta=F16.gamma)   # theta = sigma^3
 
 
 def rand_poly(ring, rng, max_deg=6):
@@ -133,10 +138,9 @@ def test_norms_zero_derivation_closed_form():
         fld = ring.field
         q = fld.q
         for a in list(fld.elements())[:12]:
-            for i in range(11):
-                want = fld.power(a, (q ** i - 1) // (q - 1)) if a else (
-                    1 if i == 0 else 0)
-                assert ring.truncated_norm(i, a) == want
+            want = [fld.power(a, (q ** i - 1) // (q - 1)) if a else (
+                1 if i == 0 else 0) for i in range(11)]
+            assert ring.norm_sequence(11, a) == want
 
 
 def test_gcrd_lclm_contracts():
@@ -146,7 +150,7 @@ def test_gcrd_lclm_contracts():
             f = rand_poly(ring, rng, 4)
             g = rand_poly(ring, rng, 4)
             gcrd, lclm, (s, t) = skew.gcrd_lclm(f, g)
-            assert gcrd.is_monic() and lclm.is_monic()
+            assert gcrd.lc() == 1 and lclm.lc() == 1
             # deg lclm + deg gcrd = deg f + deg g
             assert lclm.degree + gcrd.degree == f.degree + g.degree
             # gcrd right-divides both inputs
@@ -173,7 +177,7 @@ def test_minimal_polynomial_singleton_and_newton_vs_lclm():
             size = rng.randrange(1, 4)
             omega = {rng.randrange(ring.field.order) for _ in range(size)}
             f1 = skew.minimal_polynomial(ring, sorted(omega))
-            f2 = skew.minimal_polynomial_lclm(ring, sorted(omega))
+            f2 = minimal_polynomial_lclm(ring, sorted(omega))
             assert f1 == f2
             for alpha in omega:
                 assert f1.evaluate(alpha) == 0
@@ -198,8 +202,8 @@ def test_p_independence_degree_criterion():
     for _ in range(40):
         omega = sorted({rng.randrange(1, 16) for _ in range(rng.randrange(1, 5))})
         f = skew.minimal_polynomial(ring, omega)
-        assert (f.degree == len(omega)) == skew.is_p_independent(ring, omega)
-    assert skew.is_p_independent(ring, [ring.field.gamma])
+        assert (f.degree == len(omega)) == is_p_independent(ring, omega)
+    assert is_p_independent(ring, [ring.field.gamma])
 
 
 def test_lclm_of_linears_equals_minpoly():
@@ -246,7 +250,7 @@ def test_within_class_independence_iff_linear_independence():
         locs = [fld.mul(g, fld.power(b1, fld.q - 1)),
                 fld.mul(g, fld.power(b2, fld.q - 1))]
         lin_indep = gf.rank_q(fld, [b1, b2]) == 2
-        assert skew.is_p_independent(ring, locs) == lin_indep
+        assert is_p_independent(ring, locs) == lin_indep
 
 
 def test_no_more_zeros_on_independent_sets():
@@ -256,7 +260,7 @@ def test_no_more_zeros_on_independent_sets():
     fld = F16
     # ambient set: Gabidulin-style locators built from a basis
     ambient = [fld.power(b, fld.q - 1) for b in fld.basis]
-    assert skew.is_p_independent(ring, ambient)
+    assert is_p_independent(ring, ambient)
     for _ in range(20):
         size = rng.randrange(1, len(ambient))
         z = rng.sample(ambient, size)
@@ -270,6 +274,41 @@ def test_right_form_round_trip():
     for ring in (R4D, R9D, R16):
         for _ in range(40):
             f = rand_poly(ring, rng, 5)
-            right = f.to_right_form()
-            back = skew.SkewPolynomial.from_right_form(ring, right)
+            right = to_right_form(f)
+            back = from_right_form(ring, right)
             assert back == f
+
+
+PROPERTY_RINGS = (R4, R4D, R9, R9D, R16, R16T3D)
+
+
+def draw_poly(data, ring, max_deg, nonzero=False):
+    coeffs = data.draw(st.lists(st.integers(0, ring.field.order - 1),
+                                min_size=0, max_size=max_deg + 1))
+    if nonzero:
+        coeffs.append(data.draw(st.integers(1, ring.field.order - 1)))
+    return ring.poly(coeffs)
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_mul_associative_property(data):
+    ring = data.draw(st.sampled_from(PROPERTY_RINGS), label="ring")
+    f, g, h = (draw_poly(data, ring, 4) for _ in range(3))
+    assert (f * g) * h == f * (g * h)
+    assert (f + g) * h == f * h + g * h
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_division_identities_property(data):
+    ring = data.draw(st.sampled_from(PROPERTY_RINGS), label="ring")
+    f = draw_poly(data, ring, 7)
+    g = draw_poly(data, ring, 4, nonzero=True)
+    q, r = skew.right_divide(f, g)
+    assert q * g + r == f and (r.is_zero() or r.degree < g.degree)
+    q, r = skew.left_divide(f, g)
+    assert g * q + r == f and (r.is_zero() or r.degree < g.degree)
+    # an exact multiple divides with zero remainder on its side
+    assert skew.right_divide(f * g, g) == (f, ring.zero())
+    assert skew.left_divide(g * f, g) == (f, ring.zero())

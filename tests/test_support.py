@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from skewcodes import gf, lrs, metric, support
 
-from oracles import exhaustive_min_total, gm_check_exhaustive
+from oracles import exhaustive_min_total, gm_check_exhaustive, pad_pattern
 
 TOY = support.NetworkInstance(
     lengths=[1, 3, 2, 3],
@@ -143,6 +143,47 @@ def test_pad_pattern():
     grown = support.pad_pattern(partial)
     for old, new in zip(partial.zeros, grown.zeros):
         assert old <= new
+
+
+def _pad_outcome(pad, pattern):
+    try:
+        return pad(pattern).zeros
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=400)
+@given(st.data())
+def test_pad_pattern_matches_per_candidate_flows(data):
+    # one kept max flow per row decides every candidate as a fresh max flow
+    # does: the same padded zeros, or the same error
+    n = data.draw(st.integers(1, 8), label="n")
+    k = data.draw(st.integers(0, n + 1), label="k")
+    zeros = data.draw(st.lists(st.sets(st.integers(1, n),
+                                       max_size=max(k - 1, 0)),
+                               min_size=k, max_size=k), label="zeros")
+    pattern = support.ZeroPattern(n, zeros)
+    got = _pad_outcome(support.pad_pattern, pattern)
+    assert got == _pad_outcome(pad_pattern, pattern)
+    if not isinstance(got, str):
+        assert support.gm_check(support.ZeroPattern(n, got)) is None
+
+
+def test_pad_pattern_matches_oracle_on_design_patterns():
+    # larger than the random ones: designer patterns with the empty rows
+    # that build_subcode_generator adds up to ktilde
+    patterns = [toy_pattern()]
+    for lengths, access in (([1, 3, 2, 3], TOY.access),
+                            ([2, 1], [{1}, {2}, {1, 2}])):
+        inst = support.NetworkInstance(lengths, access, t=1, rho=1, ell=2)
+        source_lengths, _ = support.solve_source_lengths(inst)
+        pattern = support.design_pattern(inst, source_lengths)
+        patterns.append(support.ZeroPattern(
+            pattern.n, list(pattern.zeros)
+            + [set()] * (support.ktilde(pattern) - pattern.k)))
+    for pattern in patterns:
+        assert (_pad_outcome(support.pad_pattern, pattern)
+                == _pad_outcome(pad_pattern, pattern))
 
 
 def test_field_size_bound():
