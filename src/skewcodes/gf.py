@@ -54,9 +54,19 @@ F_p-coordinates at every level, and addition is digit-wise mod p (XOR in
 characteristic 2).  Base-field codes double as the embedded copy of F_q
 inside F_{q^m} (constant polynomials), so the subfield embedding is the
 identity on codes.
+
+F_q-ranks are computed on the codes too: rank_q reduces each entry by an
+echelon basis of elements, reading an F_q-coordinate as a base-q digit and
+taking x - d*b with one field mul and one sub, so no coordinate matrix is
+built.  Factorizations (for the gamma search and the prime-power checks)
+use deterministic Miller-Rabin and Pollard-Brent; a part left after the
+primes up to 41 are divided out that is too large for Miller-Rabin with
+those 13 bases to decide is refused with a ValueError, so no factorization
+runs unbounded.
 """
 
 import itertools
+import math
 import operator
 
 TABLE_LIMIT = 1 << 20
@@ -66,18 +76,80 @@ _SPREAD_LIMIT = 1 << 10     # entries of a Kronecker spread table
 # ---------------------------------------------------------------------------
 # small number theory helpers
 
+# Miller-Rabin with these bases decides primality for every n below
+# _MR_LIMIT (Sorenson & Webster, Math. Comp. 86, 2017).  factorize splits
+# only parts below it, so Pollard-Brent takes about _MR_LIMIT^(1/4), some
+# 1.3e6 steps, at most on each.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
+def _is_prime(n):
+    """Deterministic Miller-Rabin for an n > 1 with no proper prime factor
+    in _MR_BASES; a ValueError when n is at least _MR_LIMIT."""
+    if n < 43 * 43:
+        return True
+    if n >= _MR_LIMIT:
+        raise ValueError(f"{n} is beyond the deterministic Miller-Rabin "
+                         f"range (below {_MR_LIMIT}), so it cannot be "
+                         f"factored")
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _pollard_brent(n):
+    """A proper factor of a composite n with no prime factor in _MR_BASES,
+    by Pollard's rho with Brent's cycle search (Brent, BIT 20, 1980).  The
+    map y -> y^2 + c starts at y = 2 with c = 1, 2, ... in turn, so the
+    factor found is the same on every run."""
+    for c in itertools.count(1):
+        y, r, g = 2, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+                g = math.gcd(x - y, n)
+                if g != 1:
+                    break
+            r *= 2
+        if g != n:
+            return g
+
+
 def factorize(n):
-    """Prime factorization by trial division, as a {prime: exponent} dict."""
+    """Prime factorization as a {prime: exponent} dict in increasing prime
+    order: trial division by the Miller-Rabin bases, then Pollard-Brent
+    splits of the cofactor until Miller-Rabin proves every part prime.  A
+    ValueError when a part to be proved prime is at least _MR_LIMIT."""
     factors = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            factors[d] = factors.get(d, 0) + 1
-            n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        factors[n] = factors.get(n, 0) + 1
-    return factors
+    for p in _MR_BASES:
+        if p * p > n:       # n is 1 or a prime
+            break
+        while n % p == 0:
+            factors[p] = factors.get(p, 0) + 1
+            n //= p
+    parts = [n] if n > 1 else []
+    while parts:
+        x = parts.pop()
+        if _is_prime(x):
+            factors[x] = factors.get(x, 0) + 1
+        else:
+            d = _pollard_brent(x)
+            parts += [d, x // d]
+    return dict(sorted(factors.items()))
 
 
 def is_prime(n):
@@ -885,5 +957,30 @@ def expand_matrix(field, vector):
 
 
 def rank_q(field, vector):
-    """F_q-rank of a vector over F_{q^m}."""
-    return rank(field.base, expand_matrix(field, vector))
+    """F_q-rank of a vector over F_{q^m}: the dimension of the F_q-span of
+    its entries, computed on their codes.
+
+    The base-q digits of a code are its F_q-coordinates, and F_q embeds as
+    the codes below q, so x - d*b for d in F_q is one mul and one sub.  As in
+    rank, the entries are inserted into an echelon basis of (q^i, b) pairs,
+    with the lowest nonzero digit of b a 1 at position i and zeros at the
+    pivots of the pairs inserted before it; one reduction per pair, in
+    insertion order, clears every pivot digit of an incoming entry.
+    """
+    q, m = field.q, field.m
+    mul, sub, inv = field.mul, field.sub, field.base.inv
+    basis = []      # (q^i, b)
+    for x in vector:
+        if len(basis) == m:
+            break
+        for qi, b in basis:
+            d = x // qi % q
+            if d:
+                x = sub(x, b if d == 1 else mul(d, b))
+        if x:
+            qi = 1
+            while not x // qi % q:
+                qi *= q
+            d = x // qi % q
+            basis.append((qi, x if d == 1 else mul(inv(d), x)))
+    return len(basis)

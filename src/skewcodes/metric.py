@@ -82,6 +82,9 @@ def min_distance_bruteforce(field, generator_rows, metric=HAMMING,
     and keeps each block's rank.
     """
     k = len(generator_rows)
+    if not k:
+        raise ValueError("minimum distance of a code with no generator rows "
+                         "is undefined: it has no nonzero codeword")
     if field.order ** k > BRUTEFORCE_GUARD:
         raise ValueError("brute-force guard exceeded (q^(mk) > 2^24)")
     if gf.rank(field, generator_rows) < k:

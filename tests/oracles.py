@@ -232,3 +232,22 @@ def pad_pattern(pattern):
         if len(zeros[i]) != k - 1:
             raise ValueError(f"could not pad row {i + 1} to size {k - 1}")
     return support.ZeroPattern(pattern.n, zeros)
+
+
+def factorize(n):
+    """gf.factorize by trial division, as a {prime: exponent} dict."""
+    factors = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            factors[d] = factors.get(d, 0) + 1
+            n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        factors[n] = factors.get(n, 0) + 1
+    return factors
+
+
+def rank_q(field, vector):
+    """gf.rank_q as the rank over F_q of the m x n coordinate expansion."""
+    return gf.rank(field.base, gf.expand_matrix(field, vector))

@@ -281,6 +281,19 @@ def test_il_bounds_rejects_impossible_inputs(capsys, extra, bad):
     assert bad in err
 
 
+def test_il_bounds_refuses_q_beyond_factoring_range(capsys):
+    # q = 2^89 - 1 is prime, but above the range where the 13 Miller-Rabin
+    # bases decide primality; trial division of such a q used to run for
+    # hours
+    q = str(2 ** 89 - 1)
+    argv = ["il-bounds", "--n", "30", "--s", "2", "--q", q, "--m", "1",
+            "--d", "5"]
+    assert cli.main(argv) == cli.EXIT_INFEASIBLE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert q in err and "Miller-Rabin range" in err
+
+
 def test_qlrs_dim(tmp_path):
     out = tmp_path / "dim.json"
     assert cli.main(["--out", str(out), "qlrs-dim", "--ell", "3",

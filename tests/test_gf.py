@@ -2,12 +2,14 @@ import copy
 import hashlib
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from skewcodes import gf
 
+import oracles
 from oracles import mat_vec, rank_bruteforce, solve
 
 
@@ -255,6 +257,49 @@ def test_no_table_field_matches_table_field(monkeypatch):
                 assert small.inv(a) == poly.inv(a)
                 assert small.frob(a, 3) == poly.frob(a, 3)
                 assert small.power(a, 7) == poly.power(a, 7)
+
+
+def test_factorize_matches_trial_division():
+    # below 10^5 every path runs: trial division by the Miller-Rabin bases,
+    # Miller-Rabin itself and Pollard-Brent splits of products of primes > 41
+    for n in range(1, 10 ** 5):
+        assert list(gf.factorize(n).items()) == list(oracles.factorize(n)
+                                                     .items())
+
+
+@pytest.mark.parametrize("q, m", [(2, 33), (2, 48), (2, 64), (3, 12), (3, 40),
+                                  (4, 10), (5, 30), (7, 11)])
+def test_factorize_group_orders_match_trial_division(q, m):
+    n = q ** m - 1
+    assert list(gf.factorize(n).items()) == list(oracles.factorize(n).items())
+
+
+def test_factorize_large_group_orders():
+    # trial division needs about 10^8 steps for 2^67 - 1 (Cole 1903)
+    assert gf.factorize(2 ** 61 - 1) == {2 ** 61 - 1: 1}
+    assert gf.factorize(2 ** 67 - 1) == {193707721: 1, 761838257287: 1}
+    assert gf.is_prime(2 ** 61 - 1)
+    assert not gf.is_prime(2 ** 67 - 1)
+    # small factors of any size are stripped before any primality proof
+    assert gf.factorize(2 ** 100 * 3 ** 5) == {2: 100, 3: 5}
+
+
+def test_factorize_refuses_parts_beyond_miller_rabin_range():
+    # 2^89 - 1 is prime, but above the bound where the 13 bases decide it
+    for n in (gf._MR_LIMIT, 2 ** 89 - 1, 43 * (2 ** 89 - 1)):
+        with pytest.raises(ValueError, match="Miller-Rabin range"):
+            gf.factorize(n)
+    with pytest.raises(ValueError, match="Miller-Rabin range"):
+        gf.is_prime(2 ** 89 - 1)
+
+
+def test_gf2_67_builds_quickly():
+    start = time.perf_counter()
+    fld = gf.Field(2, 67, gf.Field(2))
+    assert time.perf_counter() - start < 5
+    assert not fld.has_tables
+    assert fld.gamma == 2
+    assert fld.power(fld.gamma, fld.order - 1) == 1
 
 
 def test_big_field_no_tables_basic():
@@ -543,6 +588,82 @@ def test_axpy_matches_class_methods(data):
     fld.axpy(dst, f, src, start)
     assert dst == want
     assert src == before
+
+
+# one field per family for rank_q: a prime field, char-2 tables, odd tables
+# (Zech), the towers GF(4^3) and GF(9^3), and no tables (Kronecker and
+# carry-less)
+RANK_Q_FIELDS = (gf.field(7, 1, 1), gf.field(2, 1, 8), gf.field(3, 1, 4),
+                 gf.field(2, 2, 3), gf.field(3, 2, 3), gf.field(7, 1, 11),
+                 gf.field(2, 1, 33))
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_rank_q_matches_expansion_oracle(data):
+    fld = data.draw(st.sampled_from(RANK_Q_FIELDS), label="field")
+    n = data.draw(st.integers(0, fld.m + 3), label="n")
+    # entries drawn from the F_q-span of a few elements, so that every rank
+    # occurs, with zero and repeated entries mixed in
+    gens = data.draw(st.lists(_codes(fld), min_size=1, max_size=3),
+                     label="generators")
+    scalar = st.integers(0, fld.q - 1)
+    vec = []
+    for _ in range(n):
+        kind = data.draw(st.sampled_from(("span", "random", "zero", "dup")))
+        if kind == "zero":
+            vec.append(0)
+        elif kind == "dup" and vec:
+            vec.append(data.draw(st.sampled_from(vec)))
+        elif kind == "span":
+            x = 0
+            for g in gens:
+                x = fld.add(x, fld.mul(data.draw(scalar), g))
+            vec.append(x)
+        else:
+            vec.append(data.draw(_codes(fld)))
+    before = list(vec)
+    assert gf.rank_q(fld, vec) == oracles.rank_q(fld, vec)
+    assert vec == before
+
+
+@pytest.mark.parametrize("fld", RANK_Q_FIELDS, ids=repr)
+def test_rank_q_empty_zero_and_basis(fld):
+    assert gf.rank_q(fld, []) == 0
+    assert gf.rank_q(fld, [0] * (fld.m + 1)) == 0
+    # the basis and its reverse, scaled by the largest F_q scalar, then
+    # repeated: rank m, reached before the repeats
+    top = fld.q - 1
+    vec = list(fld.basis) + [fld.mul(top, b) for b in reversed(fld.basis)]
+    assert gf.rank_q(fld, vec) == fld.m
+    assert gf.rank_q(fld, [top, fld.gamma, top]) == min(fld.m, 2)
+
+
+# towers over a non-prime base (tables) and fields without tables
+AXIOM_FIELDS = (gf.field(2, 2, 5), gf.field(3, 2, 3), gf.field(7, 1, 11),
+                gf.field(2, 1, 33))
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_field_axioms_towers_and_no_tables(data):
+    fld = data.draw(st.sampled_from(AXIOM_FIELDS), label="field")
+    x, y, z = (data.draw(_codes(fld), label=name) for name in "xyz")
+    add, sub, neg, mul = fld.add, fld.sub, fld.neg, fld.mul
+    assert add(add(x, y), z) == add(x, add(y, z))
+    assert mul(mul(x, y), z) == mul(x, mul(y, z))
+    assert mul(x, add(y, z)) == add(mul(x, y), mul(x, z))
+    assert add(x, y) == add(y, x)
+    assert mul(x, y) == mul(y, x)
+    assert add(x, 0) == x == mul(x, 1)
+    assert mul(x, 0) == 0
+    assert sub(x, y) == add(x, neg(y))
+    assert add(sub(x, y), y) == x
+    assert add(x, neg(x)) == 0
+    assert neg(neg(x)) == x
+    if x:
+        assert mul(x, fld.inv(x)) == 1
+        assert fld.inv(fld.inv(x)) == x
 
 
 def _counting(fn, calls):

@@ -63,6 +63,12 @@ def test_min_distance_grs_32_over_f4():
     assert metric.min_distance_bruteforce(fld, gen) == 2
 
 
+def test_min_distance_rejects_no_rows():
+    # used to return None: the code {0} has no nonzero codeword
+    with pytest.raises(ValueError, match="no generator rows"):
+        metric.min_distance_bruteforce(F4, [])
+
+
 def test_min_distance_dependent_rows_is_zero():
     # a nonzero message that encodes to the zero word has weight 0
     assert metric.min_distance_bruteforce(F4, [[1, 1], [0, 0]]) == 0
