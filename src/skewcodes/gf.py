@@ -59,10 +59,10 @@ F_q-ranks are computed on the codes too: rank_q reduces each entry by an
 echelon basis of elements, reading an F_q-coordinate as a base-q digit and
 taking x - d*b with one field mul and one sub, so no coordinate matrix is
 built.  Factorizations (for the gamma search and the prime-power checks)
-use deterministic Miller-Rabin and Pollard-Brent; a part left after the
-primes up to 41 are divided out that is too large for Miller-Rabin with
-those 13 bases to decide is refused with a ValueError, so no factorization
-runs unbounded.
+use deterministic Miller-Rabin and Pollard-Brent; a part that Miller-Rabin
+with the 13 primes up to 41 as bases cannot decide, or a split that needs
+more than a fixed number of rho steps, is refused with a ValueError, so no
+factorization runs unbounded.
 """
 
 import itertools
@@ -77,22 +77,24 @@ _SPREAD_LIMIT = 1 << 10     # entries of a Kronecker spread table
 # small number theory helpers
 
 # Miller-Rabin with these bases decides primality for every n below
-# _MR_LIMIT (Sorenson & Webster, Math. Comp. 86, 2017).  factorize splits
-# only parts below it, so Pollard-Brent takes about _MR_LIMIT^(1/4), some
-# 1.3e6 steps, at most on each.
+# _MR_LIMIT (Sorenson & Webster, Math. Comp. 86, 2017).  A witness proves n
+# composite at any size; an n of _MR_LIMIT or more that passes every base is
+# left undecided.  One factorize spends at most _RHO_STEPS Pollard-Brent
+# steps, a few seconds: rho finds a prime factor p in about sqrt(p) steps
+# (887,005 for p = 10^12 + 39), so a part whose second largest prime factor
+# is much above 10^12 is refused.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_LIMIT = 3317044064679887385961981
+_RHO_STEPS = 1 << 21
 
 
 def _is_prime(n):
-    """Deterministic Miller-Rabin for an n > 1 with no proper prime factor
-    in _MR_BASES; a ValueError when n is at least _MR_LIMIT."""
+    """Miller-Rabin to the bases _MR_BASES for an n > 1 with no prime
+    factor among them: False on a witness, True when every base passes and
+    n < _MR_LIMIT, and a ValueError that names n when every base passes
+    and n is at least _MR_LIMIT."""
     if n < 43 * 43:
         return True
-    if n >= _MR_LIMIT:
-        raise ValueError(f"{n} is beyond the deterministic Miller-Rabin "
-                         f"range (below {_MR_LIMIT}), so it cannot be "
-                         f"factored")
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
@@ -107,12 +109,17 @@ def _is_prime(n):
                 break
         else:
             return False
+    if n >= _MR_LIMIT:
+        raise ValueError(f"{n} passes every base but is beyond the "
+                         f"deterministic Miller-Rabin range (below "
+                         f"{_MR_LIMIT}), so it cannot be factored")
     return True
 
 
-def _pollard_brent(n):
-    """A proper factor of a composite n with no prime factor in _MR_BASES,
-    by Pollard's rho with Brent's cycle search (Brent, BIT 20, 1980).  The
+def _pollard_brent(n, steps):
+    """(a proper factor of n, steps left) for a composite n with no prime
+    factor in _MR_BASES, by Pollard's rho with Brent's cycle search (Brent,
+    BIT 20, 1980); a ValueError that names n when the steps run out.  The
     map y -> y^2 + c starts at y = 2 with c = 1, 2, ... in turn, so the
     factor found is the same on every run."""
     for c in itertools.count(1):
@@ -120,20 +127,26 @@ def _pollard_brent(n):
         while g == 1:
             x = y
             for _ in range(r):
+                if not steps:
+                    raise ValueError(f"no factor of {n} found in "
+                                     f"{_RHO_STEPS} Pollard-Brent steps, "
+                                     f"so it cannot be factored")
+                steps -= 1
                 y = (y * y + c) % n
                 g = math.gcd(x - y, n)
                 if g != 1:
                     break
             r *= 2
         if g != n:
-            return g
+            return g, steps
 
 
 def factorize(n):
     """Prime factorization as a {prime: exponent} dict in increasing prime
     order: trial division by the Miller-Rabin bases, then Pollard-Brent
     splits of the cofactor until Miller-Rabin proves every part prime.  A
-    ValueError when a part to be proved prime is at least _MR_LIMIT."""
+    ValueError when a part passes every base and is at least _MR_LIMIT, or
+    when the splits need more than _RHO_STEPS steps."""
     factors = {}
     for p in _MR_BASES:
         if p * p > n:       # n is 1 or a prime
@@ -142,12 +155,13 @@ def factorize(n):
             factors[p] = factors.get(p, 0) + 1
             n //= p
     parts = [n] if n > 1 else []
+    steps = _RHO_STEPS
     while parts:
         x = parts.pop()
         if _is_prime(x):
             factors[x] = factors.get(x, 0) + 1
         else:
-            d = _pollard_brent(x)
+            d, steps = _pollard_brent(x, steps)
             parts += [d, x // d]
     return dict(sorted(factors.items()))
 

@@ -294,6 +294,19 @@ def test_il_bounds_refuses_q_beyond_factoring_range(capsys):
     assert q in err and "Miller-Rabin range" in err
 
 
+def test_il_bounds_q_prime_power_of_large_prime(capsys):
+    # 43^16 is beyond the Miller-Rabin range, but a witness proves it
+    # composite and Pollard-Brent splits it
+    argv = ["il-bounds", "--n", "30", "--s", "2", "--q", str(43 ** 16),
+            "--m", "1", "--d", "5"]
+    assert cli.main(argv) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    bounds = json.loads(out)["bounds"]
+    assert [row["t"] for row in bounds] == [1, 2, 3, 4]
+    assert bounds[0]["L.RS"] == 1.0
+
+
 def test_qlrs_dim(tmp_path):
     out = tmp_path / "dim.json"
     assert cli.main(["--out", str(out), "qlrs-dim", "--ell", "3",

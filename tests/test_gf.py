@@ -2,7 +2,6 @@ import copy
 import hashlib
 import itertools
 import random
-import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -284,8 +283,21 @@ def test_factorize_large_group_orders():
     assert gf.factorize(2 ** 100 * 3 ** 5) == {2: 100, 3: 5}
 
 
+@pytest.mark.parametrize("n", [43 ** 16, 2 ** 92 - 1, 1000003 ** 5],
+                         ids=["43^16", "2^92-1", "1000003^5"])
+def test_factorize_composites_beyond_miller_rabin_range(n):
+    # above the range a Miller-Rabin witness still proves a part composite,
+    # so these split by Pollard-Brent; trial division is quick on each
+    assert n >= gf._MR_LIMIT
+    assert list(gf.factorize(n).items()) == list(oracles.factorize(n).items())
+    assert not gf.is_prime(n)
+
+
 def test_factorize_refuses_parts_beyond_miller_rabin_range():
-    # 2^89 - 1 is prime, but above the bound where the 13 bases decide it
+    # 2^89 - 1 is prime, but above the bound where the 13 bases decide it;
+    # the bound itself is composite, the smallest strong pseudoprime to
+    # all 13 bases, so they cannot tell it from a prime
+    assert gf._MR_LIMIT == 1287836182261 * 2575672364521
     for n in (gf._MR_LIMIT, 2 ** 89 - 1, 43 * (2 ** 89 - 1)):
         with pytest.raises(ValueError, match="Miller-Rabin range"):
             gf.factorize(n)
@@ -293,10 +305,19 @@ def test_factorize_refuses_parts_beyond_miller_rabin_range():
         gf.is_prime(2 ** 89 - 1)
 
 
-def test_gf2_67_builds_quickly():
-    start = time.perf_counter()
+def test_factorize_refuses_when_rho_steps_run_out(monkeypatch):
+    # splitting 2^67 - 1 takes 13,719 steps
+    monkeypatch.setattr(gf, "_RHO_STEPS", 13718)
+    with pytest.raises(ValueError, match="13718 Pollard-Brent steps"):
+        gf.factorize(2 ** 67 - 1)
+    monkeypatch.setattr(gf, "_RHO_STEPS", 13719)
+    assert gf.factorize(2 ** 67 - 1) == {193707721: 1, 761838257287: 1}
+
+
+def test_gf2_67_builds_on_few_rho_steps(monkeypatch):
+    # the whole build, gamma search included, factors within 2^14 rho steps
+    monkeypatch.setattr(gf, "_RHO_STEPS", 1 << 14)
     fld = gf.Field(2, 67, gf.Field(2))
-    assert time.perf_counter() - start < 5
     assert not fld.has_tables
     assert fld.gamma == 2
     assert fld.power(fld.gamma, fld.order - 1) == 1
