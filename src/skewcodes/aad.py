@@ -100,20 +100,21 @@ def verify_spread(family):
 
 
 def _reducer(field, rows):
-    """The map u -> u - (the combination of rref(rows) that zeroes u on
-    the pivot coordinates of rows), read on the other coordinates: linear,
-    with kernel span(rows), so it names each coset u + span(rows) by one
-    word of length n - rank(rows)."""
-    red, pivots = gf.rref(field, rows)
+    """The map u -> u - (the word of span(rows) that agrees with u on the
+    pivot coordinates of gf.echelon(rows)), read on the other coordinates:
+    linear, with kernel span(rows), so it names each coset u + span(rows)
+    by one word of length n - rank(rows)."""
+    basis = gf.echelon(field, rows)
     axpy, neg = field.axpy, field.neg
-    steps = list(zip(pivots, red))
-    free = [c for c in range(len(red[0])) if c not in pivots]
+    pivots = {c for c, _ in basis}
+    free = [c for c in range(len(rows[0])) if c not in pivots]
 
     def reduce(u):
         u = list(u)
-        # a reduced row is 0 left of its pivot and at the other pivots, so
-        # the update leaves the later pivot coordinates as they are
-        for c, row in steps:
+        # a basis row is 0 left of its pivot and at the pivots of the rows
+        # inserted before it, so the update leaves the pivot coordinates
+        # already cleared as they are
+        for c, row in basis:
             if u[c]:
                 axpy(u, neg(u[c]), row, c)
         return tuple(u[j] for j in free)
@@ -140,10 +141,10 @@ def verify_aad(family, l_bound, mode="exhaustive", samples=2000, rng=None):
 
     The coset u + S_i meets S_j iff u lies in S_i + S_j, which depends on u
     only through its coset modulo S_i.  So both modes reduce modulo S_i
-    (one rref of S_i) and count, per coset, the j != i with the coset in
-    the image of S_j: q^k words per ordered pair.  Exhaustive mode checks
-    every coset of every i; sample mode draws (i, u) with u outside S_i
-    and checks the drawn cosets, one table alive at a time.
+    (by one echelon basis of S_i) and count, per coset, the j != i with the
+    coset in the image of S_j: q^k words per ordered pair.  Exhaustive mode
+    checks every coset of every i; sample mode draws (i, u) with u outside
+    S_i and checks the drawn cosets, one table alive at a time.
     """
     field = family.field
     n = family.n

@@ -141,7 +141,10 @@ def mc_psuc(config, t):
 
 
 def threshold_scan(config, target=0.9, trials=100):
-    """Largest t such that P_suc(t') > target for every t' <= t."""
+    """Largest t such that P_suc(t') > target for every t' <= t; target
+    must lie in [0, 1)."""
+    if not 0 <= target < 1:
+        raise ValueError(f"target = {target} must lie in [0, 1)")
     scan_cfg = replace(config, trials=trials)
     t = 0
     while t + 1 <= config.n:

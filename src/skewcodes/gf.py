@@ -38,14 +38,17 @@ Addition, by field family:
     T-IT 36(4), 1990), gamma^a + gamma^b = gamma^(a + Z[b - a]) with
     Z[k] = log(1 + gamma^k), a few table reads; see _zech_ops;
   - odd-characteristic fields without tables: digit-wise sums mod p.
-Field.__init__ binds each family's add, sub, neg and mul once, as closures
-on the instance; the class methods are the reference they are tested
-against, and they show through again if an instance attribute is deleted.
-Each family also has one row kernel, axpy(dst, f, src, start), which adds
-f * src[j] to dst[j] for j >= start in place: with tables it takes log f
-once and reads exp[(log f + log src[j]) % (order - 1)] per cell, joined to
-dst[j] by XOR or by Zech.  rref, rank, mat_mul and span do their row
-updates with it.
+Field._bind_ops binds each family's add, sub, neg and mul once, as closures
+on the instance; they are the only definitions of these ops, and deleting
+one (as a wrapper that counts calls does when it is removed) binds the same
+closure again.  Each family also has one row kernel, axpy(dst, f, src,
+start), which adds f * src[j] to dst[j] for j >= start in place: with
+tables it takes log f once and reads exp[(log f + log src[j]) % (order - 1)]
+per cell, joined to dst[j] by XOR or by Zech.  mat_mul and span do their
+row updates with it, and so does the one elimination loop, echelon, which
+inserts rows one at a time into an echelon basis: rank is the size of the
+basis, rref clears each pivot column from the basis rows inserted before
+it, and the AAD coset reducer reduces by the basis as it is.
 
 Element codes are plain ints: an element sum(c_i * z^i) with c_i in F_q is
 encoded as sum(code(c_i) * q^i), and a base-field element sum(b_j * x^j) with
@@ -503,13 +506,42 @@ def _zech_ops(p, exp, log):
 
 def _no_table_ops(fld):
     """Fields without tables: the product of Field._poly_mul (carry-less,
-    Kronecker or schoolbook), and XOR in characteristic 2.  Odd
-    characteristic keeps the digit-wise class methods and the generic
-    Field.axpy."""
-    ops = {"mul": fld._poly_mul}
+    Kronecker or schoolbook); XOR in characteristic 2, else digit-wise sums
+    mod p; and a row kernel of one add and one mul per cell."""
+    mul = fld._poly_mul
     if fld.p == 2:
-        ops.update(add=operator.xor, sub=operator.xor, neg=_same)
-    return ops
+        add = sub = operator.xor
+        neg = _same
+    else:
+        p, dim = fld.p, fld.dim
+
+        def add(x, y):
+            out, scale = 0, 1
+            for _ in range(dim):
+                out += (x % p + y % p) % p * scale
+                x //= p
+                y //= p
+                scale *= p
+            return out
+
+        def neg(x):
+            out, scale = 0, 1
+            for _ in range(dim):
+                out += -x % p * scale
+                x //= p
+                scale *= p
+            return out
+
+        def sub(x, y):
+            return add(x, neg(y))
+
+    def axpy(dst, f, src, start=0):
+        for j in range(start, len(src)):
+            y = src[j]
+            if y:
+                dst[j] = add(dst[j], mul(f, y))
+
+    return {"add": add, "sub": sub, "neg": neg, "mul": mul, "axpy": axpy}
 
 
 # ---------------------------------------------------------------------------
@@ -575,12 +607,8 @@ class Field:
     # -- construction helpers ------------------------------------------------
 
     def _bind_ops(self):
-        """Shadow add, sub, neg, mul and axpy by this family's closures.
-
-        The class methods stay as the reference: deleting an instance
-        attribute (as a wrapper that counts calls does when it is removed)
-        lets the class method show through again, with the same results.
-        """
+        """Bind this family's add, sub, neg, mul and axpy on the instance;
+        they are its only definitions."""
         if self.dim == 1:
             ops = _prime_ops(self.p)
         elif not self.has_tables:
@@ -589,8 +617,17 @@ class Field:
             ops = _xor_table_ops(self.exp, self.log)
         else:
             ops = _zech_ops(self.p, self.exp, self.log)
+        self._ops = ops
         for name, fn in ops.items():
             setattr(self, name, fn)
+
+    def __delattr__(self, name):
+        """Deleting an op (as a wrapper that counts calls does when it is
+        removed) binds the same closure again, so its state, such as a
+        filled Zech list, is kept."""
+        super().__delattr__(name)
+        if name in self._ops:
+            setattr(self, name, self._ops[name])
 
     def _find_modulus(self):
         for code in range(self.q ** self.m):
@@ -714,51 +751,6 @@ class Field:
 
     # -- arithmetic on codes ---------------------------------------------------
 
-    def add(self, x, y):
-        """x + y: XOR in characteristic 2, else digit-wise mod p."""
-        if self.p == 2:
-            return x ^ y
-        p = self.p
-        if self.dim == 1:          # GF(p): one digit, and the loop costs 2x
-            return (x + y) % p
-        out, scale = 0, 1
-        for _ in range(self.dim):
-            out += (x % p + y % p) % p * scale
-            x //= p
-            y //= p
-            scale *= p
-        return out
-
-    def neg(self, x):
-        if self.p == 2:
-            return x
-        p = self.p
-        if self.dim == 1:
-            return -x % p
-        out, scale = 0, 1
-        for _ in range(self.dim):
-            out += -x % p * scale
-            x //= p
-            scale *= p
-        return out
-
-    def sub(self, x, y):
-        return self.add(x, self.neg(y))
-
-    def axpy(self, dst, f, src, start=0):
-        """The row kernel: dst[j] += f * src[j] for every j >= start."""
-        add, mul = self.add, self.mul
-        for j in range(start, len(src)):
-            if src[j]:
-                dst[j] = add(dst[j], mul(f, src[j]))
-
-    def mul(self, x, y):
-        if x == 0 or y == 0:
-            return 0
-        if self.has_tables:
-            return self.exp[(self.log[x] + self.log[y]) % (self.order - 1)]
-        return self._poly_mul(x, y)
-
     def inv(self, x):
         if x == 0:
             raise ZeroDivisionError("inversion of zero")
@@ -881,48 +873,20 @@ def span(field, rows, offset=None):
     return extend(list(offset), 0)
 
 
-def rref(field, rows):
-    """Reduced row echelon form; returns (new_rows, pivot_columns)."""
-    rows = [list(r) for r in rows]
-    if not rows:
-        return rows, []
-    mul, inv, neg, axpy = field.mul, field.inv, field.neg, field.axpy
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        pr = rows[r]
-        f = inv(pr[c])
-        if f != 1:
-            for j in range(c, ncols):
-                if pr[j]:
-                    pr[j] = mul(pr[j], f)
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                axpy(rows[i], neg(rows[i][c]), pr, c)
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows, pivots
+def echelon(field, rows):
+    """An echelon basis of the row span, as (pivot column, row) pairs in
+    insertion order.
 
-
-def rank(field, rows):
-    """Rank by inserting the rows into an echelon basis one at a time.
-
-    Each basis row has a pivot of 1 with zeros before it and at the pivots
-    of the rows inserted before it, so an incoming row is reduced by one
-    axpy per basis row, from that row's pivot column; a nonzero remainder
-    joins the basis.  The rank cannot exceed the column count, so the
-    loop stops once the basis holds ncols rows.
+    The rows are inserted one at a time.  Each basis row has a pivot of 1
+    with zeros before it and at the pivots of the rows inserted before it,
+    so an incoming row is reduced by one axpy per basis row, from that
+    row's pivot column; a nonzero remainder joins the basis.  The rank
+    cannot exceed the column count, so the loop stops once the basis holds
+    ncols rows.  rows is never mutated.
     """
     ncols = len(rows[0]) if rows else 0
     inv, neg, axpy = field.inv, field.neg, field.axpy
-    basis = []      # (pivot column, row)
+    basis = []
     for row in rows:
         if len(basis) == ncols:
             break
@@ -935,7 +899,34 @@ def rank(field, rows):
             unit = [0] * ncols
             axpy(unit, inv(row[lead]), row, lead)
             basis.append((lead, unit))
-    return len(basis)
+    return basis
+
+
+def rref(field, rows):
+    """Reduced row echelon form; returns (new_rows, pivot_columns).
+
+    Each row of the echelon basis is already zero at the pivots of the rows
+    inserted before it.  So clearing, in insertion order, each row's pivot
+    column from the rows inserted before it never refills a column already
+    cleared.  Sorted by pivot and padded with zero rows, the rows are the
+    unique reduced form.
+    """
+    basis = echelon(field, rows)
+    neg, axpy = field.neg, field.axpy
+    for k, (c, row) in enumerate(basis):
+        for _, prev in basis[:k]:
+            if prev[c]:
+                axpy(prev, neg(prev[c]), row, c)
+    basis.sort()        # the pivots differ, so only they are compared
+    ncols = len(rows[0]) if rows else 0
+    red = [row for _, row in basis]
+    red += [[0] * ncols for _ in range(len(rows) - len(basis))]
+    return red, [c for c, _ in basis]
+
+
+def rank(field, rows):
+    """Rank: the size of the echelon basis."""
+    return len(echelon(field, rows))
 
 
 def right_kernel(field, rows):
@@ -976,7 +967,7 @@ def rank_q(field, vector):
 
     The base-q digits of a code are its F_q-coordinates, and F_q embeds as
     the codes below q, so x - d*b for d in F_q is one mul and one sub.  As in
-    rank, the entries are inserted into an echelon basis of (q^i, b) pairs,
+    echelon, the entries are inserted into an echelon basis of (q^i, b) pairs,
     with the lowest nonzero digit of b a 1 at position i and zeros at the
     pivots of the pairs inserted before it; one reduction per pair, in
     insertion order, clears every pivot digit of an incoming entry.

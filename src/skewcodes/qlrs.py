@@ -30,6 +30,16 @@ _C1_MINUS = (2 - math.sqrt(2)) / 4
 _C3_PLUS = (4 + math.sqrt(2)) / 4
 _C3_MINUS = (4 - math.sqrt(2)) / 4
 
+# most monomials (q^2) or curve cells (q^2 (q - 1)) that one enumeration
+# lists: good_monomials at ell <= 11, curves_through at ell <= 7
+ENUMERATION_GUARD = 1 << 22
+
+
+def _check_enumeration_guard(size, what):
+    if size > ENUMERATION_GUARD:
+        raise ValueError(f"enumeration guard exceeded ({what} = {size} "
+                         f"> 2^22)")
+
 
 @dataclass(frozen=True)
 class QlrsParams:
@@ -106,6 +116,7 @@ def _row_masks(q, window):
 def good_monomials(params):
     """The good (a, b), b-major then a, in increasing order."""
     q, r = params.q, params.r
+    _check_enumeration_guard(q * q, "q^2 monomials")
     window = sum(1 << w for w in range(4 * q) if mod_star(w, q) >= q - r)
     return [(a, b) for b, bad in enumerate(_row_masks(q, window))
             for a in range(q) if not bad >> a & 1]
@@ -288,6 +299,7 @@ def curves_through(field, point):
     """
     x0, y0 = point
     q = field.order
+    _check_enumeration_guard(q * q * (q - 1), "q^2 (q - 1) curve cells")
     out = []
     for alpha in field.elements():
         for beta in field.elements():

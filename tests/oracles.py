@@ -9,6 +9,86 @@ import itertools
 from skewcodes import gf, lrs, metric, netgap, skew, support
 
 
+def add(field, x, y):
+    """x + y: XOR in characteristic 2, else digit-wise mod p."""
+    if field.p == 2:
+        return x ^ y
+    p = field.p
+    if field.dim == 1:
+        return (x + y) % p
+    out, scale = 0, 1
+    for _ in range(field.dim):
+        out += (x % p + y % p) % p * scale
+        x //= p
+        y //= p
+        scale *= p
+    return out
+
+
+def neg(field, x):
+    """-x: x in characteristic 2, else digit-wise mod p."""
+    if field.p == 2:
+        return x
+    p = field.p
+    if field.dim == 1:
+        return -x % p
+    out, scale = 0, 1
+    for _ in range(field.dim):
+        out += -x % p * scale
+        x //= p
+        scale *= p
+    return out
+
+
+def sub(field, x, y):
+    return add(field, x, neg(field, y))
+
+
+def mul(field, x, y):
+    """x * y by one log/antilog lookup with tables, else Field._poly_mul."""
+    if x == 0 or y == 0:
+        return 0
+    if field.has_tables:
+        return field.exp[(field.log[x] + field.log[y]) % (field.order - 1)]
+    return field._poly_mul(x, y)
+
+
+def axpy(field, dst, f, src, start=0):
+    """The row kernel cell by cell: dst[j] += f * src[j] for j >= start."""
+    for j in range(start, len(src)):
+        if src[j]:
+            dst[j] = add(field, dst[j], mul(field, f, src[j]))
+
+
+def rref(field, rows):
+    """gf.rref by Gauss-Jordan elimination, one pivot column at a time."""
+    rows = [list(r) for r in rows]
+    if not rows:
+        return rows, []
+    ncols = len(rows[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        pr = rows[r]
+        f = field.inv(pr[c])
+        if f != 1:
+            for j in range(c, ncols):
+                if pr[j]:
+                    pr[j] = field.mul(pr[j], f)
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                field.axpy(rows[i], field.neg(rows[i][c]), pr, c)
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows, pivots
+
+
 def mat_vec(field, a, v):
     """The product a * v of a row list and a vector, summed cell by cell."""
     add, mul = field.add, field.mul

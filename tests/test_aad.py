@@ -143,6 +143,25 @@ def test_sample_mode_rejects_whole_space():
                        rng=bench.SplitMix64(1))
 
 
+@settings(max_examples=100)
+@given(st.data())
+def test_reducer_kernel_is_the_row_span(data):
+    field = data.draw(st.sampled_from((gf.field(5, 1, 1), gf.field(2, 1, 2),
+                                       gf.field(3, 1, 2))), label="field")
+    n = data.draw(st.integers(1, 4), label="n")
+    vec = st.lists(st.integers(0, field.order - 1), min_size=n, max_size=n)
+    rows = data.draw(st.lists(vec, min_size=1, max_size=3), label="rows")
+    # the sum of the first and last rows makes the rows dependent
+    if data.draw(st.booleans(), label="dependent"):
+        rows.append([field.add(a, b) for a, b in zip(rows[0], rows[-1])])
+    reduce = aad._reducer(field, rows)
+    free = n - gf.rank(field, rows)
+    assert {reduce(w) for w in gf.span(field, rows)} == {(0,) * free}
+    # and only span(rows): one name per coset
+    names = {reduce(u) for u in itertools.product(field.elements(), repeat=n)}
+    assert len(names) == field.order ** free
+
+
 @pytest.mark.parametrize("family", [aad.construct(4, 1, 5),
                                     _negative_control_family()],
                          ids=["construct-4-1-5", "negative-control"])

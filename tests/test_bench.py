@@ -1,5 +1,7 @@
 import math
 
+import pytest
+
 from skewcodes import bench, gf
 
 F8 = gf.field(2, 1, 3)
@@ -105,3 +107,11 @@ def test_threshold_scan_small():
     # s = 1 on a d = 5 code: unique decoding radius 2
     cfg = config(s=1, trials=50)
     assert bench.threshold_scan(cfg, trials=50) == 2
+
+
+@pytest.mark.parametrize("target", [-1.0, 1.0, 1.5, float("nan")])
+def test_threshold_scan_rejects_target_outside_unit_interval(target):
+    # -1 and nan used to scan every t and return n, and 1.5 to return 0
+    with pytest.raises(ValueError, match=f"target = {target} must lie in"):
+        bench.threshold_scan(config(), target=target, trials=1)
+    assert 0 <= bench.threshold_scan(config(), target=0.0, trials=1) <= 7

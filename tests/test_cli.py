@@ -252,6 +252,18 @@ def test_il_sim_scan(tmp_path):
     assert payload["threshold"] == 2 == payload["expected"]
 
 
+@pytest.mark.parametrize("target", ["-1", "nan", "1.5"])
+def test_il_sim_scan_rejects_target_outside_unit_interval(capsys, target):
+    # -1 and nan used to print threshold 7 (= n), and 1.5 to print 0
+    argv = ["--seed", "1", "il-sim", "--q", "2", "--m", "3", "--n", "7",
+            "--d", "3", "--s", "2", "--trials", "2", "--scan",
+            "--target", target]
+    assert cli.main(argv) == cli.EXIT_INFEASIBLE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"target = {float(target)} must lie in [0, 1)" in err
+
+
 def test_il_bounds_csv(tmp_path):
     out = tmp_path / "bounds.csv"
     code = cli.main(["--format", "csv", "--out", str(out), "il-bounds",
@@ -322,6 +334,20 @@ def test_qlrs_local(tmp_path):
                      "--trials", "200"]) == 0
     payload = json.loads(out.read_text())
     assert 0 <= payload["empirical_failure_rate"] <= 1
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["qlrs-dim", "--ell", "12", "--r", "16"], "q^2 monomials = 16777216"),
+    (["--seed", "1", "qlrs-local", "--ell", "8", "--r", "2", "--tau", "0.1",
+      "--trials", "10"], "q^2 (q - 1) curve cells = 16711680"),
+])
+def test_qlrs_enumerations_refused_beyond_guard(capsys, argv, named):
+    # unguarded, qlrs-dim --ell 12 took about 1 GB and qlrs-local --ell 8
+    # about 20 s, and each ell more multiplies that by 4 and 8
+    assert cli.main(argv) == cli.EXIT_INFEASIBLE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"enumeration guard exceeded ({named} > 2^22)" in err
 
 
 def test_aad_commands(tmp_path):

@@ -572,16 +572,17 @@ def _codes(fld):
     return st.sampled_from([0, 1, top]) | st.integers(0, top)
 
 
+# oracles.add, sub, neg, mul and axpy are the digit-wise reference ops that
+# the bound closures are checked against
 @settings(max_examples=300)
 @given(st.data())
 def test_bound_ops_match_class_methods(data):
     fld = data.draw(st.sampled_from(OP_FIELDS), label="field")
     x, y = data.draw(_codes(fld), label="x"), data.draw(_codes(fld), label="y")
-    ref = gf.Field
-    assert fld.add(x, y) == ref.add(fld, x, y)
-    assert fld.sub(x, y) == ref.sub(fld, x, y)
-    assert fld.neg(x) == ref.neg(fld, x)
-    assert fld.mul(x, y) == ref.mul(fld, x, y) == fld._poly_mul(x, y)
+    assert fld.add(x, y) == oracles.add(fld, x, y)
+    assert fld.sub(x, y) == oracles.sub(fld, x, y)
+    assert fld.neg(x) == oracles.neg(fld, x)
+    assert fld.mul(x, y) == oracles.mul(fld, x, y) == fld._poly_mul(x, y)
     # the Zech sentinel: x + (-x) = 0
     assert fld.add(x, fld.neg(x)) == 0
     assert fld.add(fld.neg(x), x) == 0
@@ -597,18 +598,56 @@ def test_axpy_matches_class_methods(data):
     dst, src = data.draw(vec, label="dst"), data.draw(vec, label="src")
     f = data.draw(_codes(fld), label="f")
     start = data.draw(st.integers(0, n), label="start")
-    ref = gf.Field
     # cancel some cells exactly: dst[j] = -f * src[j]
     for j in data.draw(st.sets(st.integers(0, max(n - 1, 0))), label="zero"):
         if j < n:
-            dst[j] = ref.neg(fld, ref.mul(fld, f, src[j]))
+            dst[j] = oracles.neg(fld, oracles.mul(fld, f, src[j]))
     want = list(dst)
-    for j in range(start, n):
-        want[j] = ref.add(fld, want[j], ref.mul(fld, f, src[j]))
+    oracles.axpy(fld, want, f, src, start)
     before = list(src)
     fld.axpy(dst, f, src, start)
     assert dst == want
     assert src == before
+
+
+def _matrix_rows(data, fld, ncols):
+    """Up to five rows: random, zero, duplicate and combinations of earlier
+    rows, so that every rank occurs."""
+    rows = []
+    for _ in range(data.draw(st.integers(0, 5), label="nrows")):
+        kind = data.draw(st.sampled_from(("random", "zero", "dup", "comb")))
+        if kind == "zero" or not ncols:
+            rows.append([0] * ncols)
+        elif kind == "dup" and rows:
+            rows.append(list(data.draw(st.sampled_from(rows))))
+        elif kind == "comb" and rows:
+            row = [0] * ncols
+            for prev in rows:
+                oracles.axpy(fld, row, data.draw(_codes(fld)), prev)
+            rows.append(row)
+        else:
+            rows.append(data.draw(st.lists(_codes(fld), min_size=ncols,
+                                           max_size=ncols)))
+    return rows
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_rref_and_rank_match_gauss_jordan_oracle(data):
+    fld = data.draw(st.sampled_from(OP_FIELDS), label="field")
+    rows = _matrix_rows(data, fld, data.draw(st.integers(0, 6), label="n"))
+    before = copy.deepcopy(rows)
+    red, pivots = gf.rref(fld, rows)
+    assert (red, pivots) == oracles.rref(fld, rows)
+    assert gf.rank(fld, rows) == len(pivots)
+    # the echelon basis: a unit pivot, zeros before it and at the pivots of
+    # the rows inserted before it
+    basis = gf.echelon(fld, rows)
+    assert sorted(c for c, _ in basis) == pivots
+    for k, (c, row) in enumerate(basis):
+        assert row[c] == 1 and not any(row[:c])
+        assert all(row[prev] == 0 for prev, _ in basis[:k])
+    assert rows == before
 
 
 # one field per family for rank_q: a prime field, char-2 tables, odd tables
@@ -694,10 +733,12 @@ def _counting(fn, calls):
     return op
 
 
-@pytest.mark.parametrize("key", [(3, 1, 4), (2, 1, 8), (5, 1, 1)])
+@pytest.mark.parametrize("key", [(3, 1, 4), (2, 1, 8), (5, 1, 1),
+                                 (7, 1, 11)])
 def test_wrapped_ops_fall_back_to_class_methods(key):
     # A wrapper that counts calls is set on the field object and removed by
-    # delattr; the class method shows through and the arithmetic is the same.
+    # delattr; the same bound closure comes back and the arithmetic is the
+    # same.  inv is a method, so the class method shows through.
     p, e, m = key
     prime = gf.Field(p)
     fld = gf.Field(p, m, prime if e == 1 else gf.Field(p, e, prime))
@@ -712,6 +753,7 @@ def test_wrapped_ops_fall_back_to_class_methods(key):
 
     bound = results()
     ops = ("add", "mul", "neg", "inv")
+    closures = {op: getattr(fld, op) for op in ops}
     calls = []
     for op in ops:
         setattr(fld, op, _counting(getattr(fld, op), calls))
@@ -719,5 +761,13 @@ def test_wrapped_ops_fall_back_to_class_methods(key):
     assert len(calls) >= 4 * len(pairs)
     for op in ops:
         delattr(fld, op)
-        assert getattr(fld, op).__func__ is getattr(gf.Field, op)
+        if op == "inv":
+            assert fld.inv.__func__ is gf.Field.inv
+        else:
+            assert getattr(fld, op) is closures[op]
     assert results() == bound
+    assert [(oracles.add(fld, a, b), oracles.mul(fld, a, b),
+             oracles.neg(fld, a)) for a, b in pairs] == \
+        [r[:3] for r in bound[0]]
+    assert not any(hasattr(gf.Field, op)
+                   for op in ("add", "sub", "neg", "mul", "axpy"))

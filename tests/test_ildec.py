@@ -216,6 +216,42 @@ def test_oracles_match_decoder_extension_errors():
             assert got == ildec.crux_oracle(err, spec, s)
 
 
+# char-2, odd and tower fields, and GF(7) with m = 1, where subfield errors
+# are full-field errors
+PROPERTY_FIELDS = (gf.field(2, 1, 3), gf.field(2, 1, 4), gf.field(2, 2, 2),
+                   gf.field(3, 1, 2), gf.field(5, 1, 2), gf.field(7, 1, 1))
+
+
+@settings(max_examples=500)
+@given(st.data())
+def test_decoder_matches_rank_and_crux_oracles(data):
+    fld = data.draw(st.sampled_from(PROPERTY_FIELDS), label="field")
+    n = data.draw(st.integers(3, min(fld.order - 1, 15)), label="n")
+    d = data.draw(st.integers(3, n), label="d")
+    s = data.draw(st.integers(1, 3), label="s")
+    radius = ildec.t_max_radius(d, s)
+    t = data.draw(st.sampled_from(range(1, min(n, radius + 2) + 1)),
+                  label="t")
+    errors = data.draw(st.sampled_from(("subfield", "full", "rank one")),
+                       label="errors")
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32), label="seed"))
+    # random distinct locators and multipliers, not only default_spec's
+    locs = rng.sample(range(1, fld.order), n)
+    mults = [fld.random_nonzero(rng) for _ in range(n)]
+    spec = grscode.GrsSpec(fld, locs, mults, d)
+    err = ildec.sample_burst(fld, s, n, t, rng, subfield=errors == "subfield")
+    if errors == "rank one":
+        # every column a multiple of the first, so the decoder fails beyond
+        # (d - 1) / 2 even inside its radius
+        first = err.columns[0]
+        scalars = [fld.random_nonzero(rng) for _ in err.columns]
+        err.columns = [[fld.mul(c, x) for x in first] for c in scalars]
+    out = ildec.joint_decode(err.full_matrix(s, n), spec)
+    got = ildec.classify(out, [[0] * n for _ in range(s)]) == ildec.SUCCESS
+    assert got == ildec.rank_oracle(err, spec, s) == \
+        ildec.crux_oracle(err, spec, s)
+
+
 def _scan_recurrence_length(field, syns):
     """Least t at which S(t) x = -T(t) is solvable, by an upward scan."""
     t = 0

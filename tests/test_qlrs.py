@@ -1,5 +1,6 @@
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from skewcodes import gf, qlrs
@@ -352,3 +353,18 @@ def test_curves_through_count_and_size():
     assert len(curves) == 64
     assert all(len(c) == 7 for c in curves)
     assert len({tuple(c) for c in curves}) == 64
+
+
+def test_enumerations_refused_beyond_guard():
+    guard = qlrs.ENUMERATION_GUARD
+    qlrs._check_enumeration_guard(guard, "size")
+    with pytest.raises(ValueError, match="size = 4194305 > 2"):
+        qlrs._check_enumeration_guard(guard + 1, "size")
+    # ell = 12 lists q^2 = 2^24 monomials, ell = 8 q^2 (q - 1) > 2^23 cells
+    for fn in (qlrs.good_monomials, qlrs.dimension, qlrs.bad_star_count):
+        with pytest.raises(ValueError, match="q\\^2 monomials"):
+            fn(qlrs.QlrsParams(12, 16))
+    with pytest.raises(ValueError, match="curve cells"):
+        qlrs.curves_through(gf.field(2, 8, 1), (0, 0))
+    with pytest.raises(ValueError, match="curve cells"):
+        qlrs.simulate_local(qlrs.QlrsParams(8, 2), 0.1, 10, random.Random(0))
