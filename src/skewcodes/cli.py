@@ -38,13 +38,22 @@ def _emit(args, payload, text=None):
         sys.stdout.write(out)
 
 
-def _parse_ints(text):
-    return [int(x) for x in text.replace(",", " ").split()]
+def _parse_ints(option, text):
+    """The integers of a comma- or blank-separated list; a UsageError that
+    names the option and the bad token otherwise."""
+    out = []
+    for token in text.replace(",", " ").split():
+        try:
+            out.append(int(token))
+        except ValueError:
+            raise UsageError(f"{option}: {token!r} is not an integer") \
+                from None
+    return out
 
 
-def _parse_rows(text):
+def _parse_rows(option, text):
     """'1 2;;3' -> [{1,2}, set(), {3}]: every part is a row, blank is empty."""
-    return [set(_parse_ints(part)) for part in text.split(";")]
+    return [set(_parse_ints(option, part)) for part in text.split(";")]
 
 
 def _load_config(path):
@@ -85,8 +94,8 @@ def cmd_skew_eval(args):
     fld = gf.field_q(args.q, args.m)
     from . import skew
     _check_codes(fld, "--beta", [args.beta])
-    coeffs = _check_codes(fld, "--coeffs", _parse_ints(args.coeffs))
-    points = _check_codes(fld, "--points", _parse_ints(args.points))
+    coeffs = _check_codes(fld, "--coeffs", _parse_ints("--coeffs", args.coeffs))
+    points = _check_codes(fld, "--points", _parse_ints("--points", args.points))
     ring = skew.SkewRing(fld, args.theta, args.beta)
     poly = ring.poly(coeffs)
     values = {str(a): poly.evaluate(a) for a in points}
@@ -94,7 +103,7 @@ def cmd_skew_eval(args):
 
 
 def cmd_lrs_gen(args):
-    lengths = tuple(_parse_ints(args.lengths))
+    lengths = tuple(_parse_ints("--lengths", args.lengths))
     # before the field: a large m spends seconds in the modulus search
     lrs.check_shape(args.q, args.m, lengths, args.k)
     fld = gf.field_q(args.q, args.m)
@@ -111,7 +120,7 @@ def cmd_lrs_gen(args):
 
 
 def _pattern_from_args(args):
-    rows = _parse_rows(args.zeros)
+    rows = _parse_rows("--zeros", args.zeros)
     if args.n < 1:
         raise GuardError(f"--n {args.n} must be >= 1")
     if len(rows) > args.n:
@@ -134,7 +143,7 @@ def cmd_support_check(args):
 def cmd_support_build(args):
     seed = _require_seed(args)
     pattern = _pattern_from_args(args)
-    lengths = tuple(_parse_ints(args.lengths))
+    lengths = tuple(_parse_ints("--lengths", args.lengths))
     lrs.check_shape(args.q, args.m, lengths, pattern.k)
     fld = gf.field_q(args.q, args.m)
     spec = lrs.default_spec(fld, lengths, pattern.k)
@@ -148,8 +157,8 @@ def cmd_support_build(args):
 
 def cmd_dist_design(args):
     seed = _require_seed(args)
-    inst = support.NetworkInstance(_parse_ints(args.lengths),
-                                   _parse_rows(args.access),
+    inst = support.NetworkInstance(_parse_ints("--lengths", args.lengths),
+                                   _parse_rows("--access", args.access),
                                    args.t, args.rho, args.ell)
     rng = bench.SplitMix64(seed)
     res = support.distributed_design(inst, rng)
@@ -266,7 +275,8 @@ def cmd_aad_verify(args):
 def cmd_bounds_table(args):
     part = None
     if args.partition:
-        part = metric.OrderedPartition(tuple(_parse_ints(args.partition)))
+        part = metric.OrderedPartition(
+            tuple(_parse_ints("--partition", args.partition)))
     reports = metric.classical_bounds(args.metric, args.n, args.d, args.q,
                                       args.m, part)
     _emit(args, {"bounds": [{"name": r.name, "value": str(r.value),

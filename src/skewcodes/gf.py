@@ -15,7 +15,8 @@ low and high halves joined by XOR; otherwise the walk keeps the chunks lo,
 mid and top (top is the extra digit of an odd dim) and sums each one through
 a shared digit-wise sum table.  Larger fields fall back to polynomial
 arithmetic over the level below, with inverses by the extended Euclidean
-algorithm and the Frobenius as an F_p-linear map on the digits.
+algorithm and the Frobenius as an F_p-linear map on the digits, summed from
+tables of the images of digit chunks (see Field._linear_map).
 
 Multiplication, by field family:
   - fields of dimension 1 over F_p (prime fields and degree-1 extensions
@@ -44,11 +45,14 @@ one (as a wrapper that counts calls does when it is removed) binds the same
 closure again.  Each family also has one row kernel, axpy(dst, f, src,
 start), which adds f * src[j] to dst[j] for j >= start in place: with
 tables it takes log f once and reads exp[(log f + log src[j]) % (order - 1)]
-per cell, joined to dst[j] by XOR or by Zech.  mat_mul and span do their
-row updates with it, and so does the one elimination loop, echelon, which
-inserts rows one at a time into an echelon basis: rank is the size of the
-basis, rref clears each pivot column from the basis rows inserted before
-it, and the AAD coset reducer reduces by the basis as it is.
+per cell, joined to dst[j] by XOR or by Zech.  span does its row updates
+with it, and so does the one elimination loop, echelon, which inserts rows
+one at a time into an echelon basis: rank is the size of the basis, rref
+clears each pivot column from the basis rows inserted before it, and the
+AAD coset reducer reduces by the basis as it is.  mat_mul makes one axpy
+per nonzero entry, except on the Kronecker fields (odd prime base, no
+tables), whose own mat_mul closure sums the unreduced products of each
+output entry and reduces once; see _kronecker.
 
 Element codes are plain ints: an element sum(c_i * z^i) with c_i in F_q is
 encoded as sum(code(c_i) * q^i), and a base-field element sum(b_j * x^j) with
@@ -73,7 +77,7 @@ import math
 import operator
 
 TABLE_LIMIT = 1 << 20
-_SPREAD_LIMIT = 1 << 10     # entries of a Kronecker spread table
+_SPREAD_LIMIT = 1 << 10     # entries of a _digit_map chunk table
 
 
 # ---------------------------------------------------------------------------
@@ -316,51 +320,89 @@ def _undigits(digits, b):
     return code
 
 
+def _digit_map(p, units):
+    """x -> sum(digit_i(x) * units[i]) over the base-p digits of x, read C
+    digits at a time from one table per chunk, with C the largest chunk
+    whose table has at most _SPREAD_LIMIT entries."""
+    C = 1
+    while C < len(units) and p ** (C + 1) <= _SPREAD_LIMIT:
+        C += 1
+    P, tables = p ** C, []
+    for c in range(0, len(units), C):
+        table = [0]
+        for u in units[c:c + C]:       # add a top digit to every chunk code
+            table = [t + d * u for d in range(p) for t in table]
+        tables.append(table)
+
+    def apply(x):
+        s = 0
+        for t in tables:
+            x, a = divmod(x, P)
+            s += t[a]
+        return s
+    return apply
+
+
+def _slot_reader(p, n, W):
+    """s -> the code whose n base-p digits are the W-bit slots of s, each
+    reduced mod p."""
+    mask = (1 << W) - 1
+    reads = [(W * t, p ** t) for t in range(n)]
+
+    def read(s):
+        return sum([(s >> sh & mask) % p * pt for sh, pt in reads])
+    return read
+
+
 def _kronecker(p, m, modulus):
-    """Multiplication of GF(p^m) codes, p odd, by Kronecker substitution.
+    """(mul, mat_mul) of GF(p^m) codes, p odd, by Kronecker substitution.
 
     A code's m base-p digits are spread into W-bit slots of one int, one big
     int product then holds every coefficient of the product polynomial in
     its own slot, and the high coefficients at z^k, m <= k <= 2m-2, are
-    folded back with the packed rows z^k mod modulus.  A low slot sums at
-    most m products from the big product and m - 1 from the fold, so
-    2^W > (2m-1)(p-1)^2 keeps every slot from carrying into the next.
-    Codes are spread C digits at a time through a table of the p^C chunk
-    codes, with C the largest chunk whose table has at most
-    _SPREAD_LIMIT entries; for one-digit chunks the spread of a digit is
-    the digit itself, so no table is built.
+    reduced mod p and folded back with the packed rows z^k mod modulus.
+    mat_mul sums the K = len(b) unreduced products of each output entry
+    first and folds and reads that sum once (lazy reduction; Harvey, J.
+    Symb. Comput. 44, 2009).  A low slot of the sum holds at most K*m
+    products of two digits, and the fold adds at most m - 1 more, so slots
+    with 2^W > (K*m + m - 1)(p-1)^2 never carry into the next one; mul is
+    the case K = 1.  Each entry of a and b is spread once, by _digit_map;
+    the layout of each W is built once.
     """
-    W = ((2 * m - 1) * (p - 1) ** 2).bit_length()
-    mask = (1 << W) - 1
-    C = 1
-    while C < m and p ** (C + 1) <= _SPREAD_LIMIT:
-        C += 1
-    P, CW = p ** C, C * W
-    spread = range(p)
-    for i in range(1, C):          # add a top digit to every chunk code
-        spread = [v + (d << (W * i)) for d in range(p) for v in spread]
+    rows = []
     zk = [(-c) % p for c in modulus[:m]]            # z^m mod modulus
-    fold = []
     for k in range(m, 2 * m - 1):
-        fold.append((W * k, _undigits(zk, 1 << W)))
+        rows.append(zk)
         top = zk[-1]                                # z^(k+1) = z * z^k
         zk = [(a - top * c) % p for a, c in zip([0] + zk[:-1], modulus)]
-    low_mask = (1 << (W * m)) - 1
-    reads = [(W * t, p ** t) for t in range(m)]
+    layouts = {}
+
+    def layout(K):
+        W = ((K * m + m - 1) * (p - 1) ** 2).bit_length()
+        if W not in layouts:
+            fold = [(W * k, _undigits(r, 1 << W))
+                    for k, r in enumerate(rows, m)]
+            mask, low_mask = (1 << W) - 1, (1 << (W * m)) - 1
+            read = _slot_reader(p, m, W)
+
+            def reduce(prod):
+                return read((prod & low_mask) + sum(
+                    [(prod >> sh & mask) % p * r for sh, r in fold]))
+            layouts[W] = (_digit_map(p, [1 << (W * t) for t in range(m)]),
+                          reduce)
+        return layouts[W]
+
+    spread1, reduce1 = layout(1)
 
     def mul(x, y):
-        X = Y = s = 0
-        while x or y:
-            x, a = divmod(x, P)
-            y, b = divmod(y, P)
-            X |= spread[a] << s
-            Y |= spread[b] << s
-            s += CW
-        prod = X * Y
-        acc = (prod & low_mask) + sum([(prod >> sh & mask) % p * row
-                                       for sh, row in fold])
-        return sum([(acc >> sh & mask) % p * pt for sh, pt in reads])
-    return mul
+        return reduce1(spread1(x) * spread1(y))
+
+    def mat_mul(a, b):
+        spread, reduce = layout(len(b))
+        cols = list(zip(*[[spread(y) for y in row] for row in b]))
+        return [[reduce(sum(map(operator.mul, xs, col))) for col in cols]
+                for xs in [[spread(x) for x in row] for row in a]]
+    return mul, mat_mul
 
 
 def _chunks(codes, P):
@@ -508,7 +550,7 @@ def _no_table_ops(fld):
     """Fields without tables: the product of Field._poly_mul (carry-less,
     Kronecker or schoolbook); XOR in characteristic 2, else digit-wise sums
     mod p; and a row kernel of one add and one mul per cell."""
-    mul = fld._poly_mul
+    mul = fld._kron or fld._poly_mul
     if fld.p == 2:
         add = sub = operator.xor
         neg = _same
@@ -516,6 +558,8 @@ def _no_table_ops(fld):
         p, dim = fld.p, fld.dim
 
         def add(x, y):
+            if not x or not y:
+                return x or y
             out, scale = 0, 1
             for _ in range(dim):
                 out += (x % p + y % p) % p * scale
@@ -594,9 +638,10 @@ class Field:
         if self._gf2:
             self._gf2_mod = _undigits(self.modulus, 2)
         # odd prime base: Kronecker products; over GF(p^e), e > 1, schoolbook
-        self._kron = (_kronecker(p, m, self.modulus)
-                      if base is not None and base.base is None and p != 2
-                      else None)
+        self._kron, self._kron_mat_mul = (
+            _kronecker(p, m, self.modulus)
+            if base is not None and base.base is None and p != 2
+            else (None, None))
         self.gamma = self._find_gamma()
         if self.has_tables:
             self._build_tables()
@@ -607,12 +652,14 @@ class Field:
     # -- construction helpers ------------------------------------------------
 
     def _bind_ops(self):
-        """Bind this family's add, sub, neg, mul and axpy on the instance;
-        they are its only definitions."""
+        """Bind this family's add, sub, neg, mul and axpy, and mat_mul for
+        Kronecker fields, on the instance; they are its only definitions."""
         if self.dim == 1:
             ops = _prime_ops(self.p)
         elif not self.has_tables:
             ops = _no_table_ops(self)
+            if self._kron is not None:
+                ops["mat_mul"] = self._kron_mat_mul
         elif self.p == 2:
             ops = _xor_table_ops(self.exp, self.log)
         else:
@@ -683,7 +730,10 @@ class Field:
         f(p^i) of the unit codes, i < dim.
 
         Codes are F_p-coordinates, so f(x) sums digit_i(x) * f(p^i): an XOR
-        of images in characteristic 2, else digit-wise sums mod p.
+        of images in characteristic 2.  Otherwise the images are spread into
+        W-bit slots, one per digit, and _digit_map sums the spread images of
+        x's digit chunks from prebuilt tables; a slot then holds at most
+        dim * (p-1)^2, below 2^W, and is reduced mod p once.
         """
         p, dim = self.p, self.dim
         images = [f(p ** i) for i in range(dim)]
@@ -696,13 +746,13 @@ class Field:
                     x ^= low
                 return y
         else:
-            # row t holds digit t of every image
-            rows = list(zip(*(_digits(y, p, dim) for y in images)))
+            W = (dim * (p - 1) ** 2).bit_length()
+            spread = _digit_map(p, [1 << (W * t) for t in range(dim)])
+            slots = _digit_map(p, [spread(y) for y in images])
+            read = _slot_reader(p, dim, W)
 
             def apply(x):
-                xd = _digits(x, p, dim)
-                return _undigits([sum(map(int.__mul__, xd, row)) % p
-                                  for row in rows], p)
+                return read(slots(x))
         return apply
 
     def _build_tables(self):
@@ -832,6 +882,10 @@ class Field:
 # matrices and exact linear algebra (row lists of int codes)
 
 def mat_mul(field, a, b):
+    """a * b: the field's own mat_mul where _bind_ops binds one (Kronecker
+    fields), else one axpy per nonzero entry of a."""
+    if "mat_mul" in field._ops:
+        return field.mat_mul(a, b)
     axpy = field.axpy
     nb = len(b[0]) if b else 0
     out = []

@@ -53,12 +53,13 @@ class SkewRing:
 
     def norm_sequence(self, k, a):
         """[N_0(a), ..., N_{k-1}(a)]: N_0 = 1, N_{i+1}(a) = theta(N_i(a))*a
-        + delta(N_i(a))."""
+        + delta(N_i(a)), the delta term only when beta != 0."""
         f = self.field
         out = [1]
         n = 1
         for _ in range(k - 1):
-            n = f.add(f.mul(self.theta(n), a), self.delta(n))
+            t = f.mul(self.theta(n), a)
+            n = f.add(t, self.delta(n)) if self.beta else t
             out.append(n)
         return out
 
@@ -210,14 +211,14 @@ def skew_mul(f, g):
         if fi:
             axpy(result, fi, cur)
         if i + 1 < len(f.coeffs):
-            # cur <- X * cur: (X*h)_j = theta(h_{j-1}) + delta(h_j)
+            # cur <- X * cur: (X*h)_j = theta(h_{j-1}) + delta(h_j); slot
+            # j + 1 is still 0 when theta(h_j) lands in it
             nxt = [0] * (len(cur) + 1)
             for j, cj in enumerate(cur):
                 if cj:
-                    nxt[j + 1] = add(nxt[j + 1], ring.theta(cj))
-                    d = ring.delta(cj)
-                    if d:
-                        nxt[j] = add(nxt[j], d)
+                    nxt[j + 1] = ring.theta(cj)
+                    if ring.beta:
+                        nxt[j] = add(nxt[j], ring.delta(cj))
             cur = nxt
     return SkewPolynomial(ring, result)
 

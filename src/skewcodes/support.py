@@ -1,12 +1,14 @@
 """Support-constrained LRS generators and the distributed-LRS designer.
 
 The GM condition |intersection of Z_i over Omega| + |Omega| <= k is checked
-by max flow: for each anchor row, one min cut gives the least surplus
+by bipartite matching: for each anchor row a, the least surplus
 |union of the complements [n] \\ Z_i| - |Omega| over the row sets Omega that
-contain it, and the condition holds iff every such surplus is >= n - k; the
-flow comes from plain augmenting paths.  The test oracle instead searches
-the closures of the deduplicated row groups (a violating Omega exists iff
-its full-group closure violates).  Constrained generators come from minimal
+contain a is |[n] \\ Z_a| - k plus a maximum matching of the columns of Z_a
+into the other rows (the max-flow min-cut theorem on the Hall-type form of
+the condition; Dau, Song & Yuen, ISIT 2014), and the condition holds iff
+every such surplus is >= n - k.  The test oracles instead run the max flow
+itself, and search the closures of the deduplicated row groups (a violating
+Omega exists iff its full-group closure violates).  Constrained generators come from minimal
 skew polynomials (row i of T holds the coefficients of f_{Z_i}); the
 designer solves the covering ILP of the capacity and zero-constraint
 families exactly.
@@ -35,94 +37,67 @@ class ZeroPattern:
         return len(self.zeros)
 
 
-def _flow_graph(zeros, n, anchor):
-    """Residual graph source -> row i -> columns Y_i -> sink, Y_i = [n] \\ Z_i.
-
-    Node 0 is the source, 1..k the rows, k + 1..k + n the columns and
-    k + n + 1 the sink.  An arc is [head, residual capacity, index of the
-    reverse arc in graph[head]]; graph[0][i] is the arc into row i + 1, and
-    the last arc of each column goes to the sink.  The source arc of the
-    anchor row and every row -> column arc are unbounded; the others have
-    capacity 1.
-    """
-    nrows = len(zeros)
-    graph = [[] for _ in range(nrows + n + 2)]
-
-    def arc(u, v, cap):
-        graph[u].append([v, cap, len(graph[v])])
-        graph[v].append([u, 0, len(graph[u]) - 1])
-
-    inf = nrows + n + 10
-    for i in range(nrows):
-        arc(0, 1 + i, inf if i == anchor else 1)
-        for y in range(1, n + 1):
-            if y not in zeros[i]:
-                arc(1 + i, nrows + y, inf)
-    for y in range(1, n + 1):
-        arc(nrows + y, nrows + n + 1, 1)
-    return graph
-
-
 def _anchored_surplus(zeros, n, anchor):
     """(surplus, Omega) for the row sets Omega that contain the anchor.
 
-    surplus is the min of |union Y| - |Omega|, where Y_i = [n] \\ Z_i, read
-    from a min cut of _max_flow on _flow_graph, and Omega is the least
-    minimizing row set, as 1-based row numbers.
+    surplus is the min of |union Y| - |Omega|, where Y_i = [n] \\ Z_i, and
+    Omega is the least minimizing row set, as 1-based row numbers.  In the
+    flow network source -> row i -> columns Y_i -> sink (unit arcs into the
+    sink, unit arcs out of the source except an unbounded one into the
+    anchor a), the cut whose source side holds the rows Omega has capacity
+    k - |Omega| + |union Y|, and some max flow fills every column of Y_a
+    from a.  So surplus = |Y_a| + M - k, with M the size of a maximum
+    matching of the columns j of Z_a into the rows i with j not in Z_i
+    (never a), and the rows on the source side of the least min cut are
+    Omega: a, the unmatched rows, and the rows they reach along
+    alternating paths.
 
     The GM condition at dimension k is equivalent to every anchored surplus
     being >= n - k, and ktilde = n - min_i surplus_i.
     """
-    nrows = len(zeros)
-    graph = _flow_graph(zeros, n, anchor)
-    flow, reached = _max_flow(graph, 0, nrows + n + 1)
-    return flow - nrows, sorted(u for u in reached if 1 <= u <= nrows)
+    za = zeros[anchor]
+    mate = _matching(zeros, anchor)
+    row_of = {j: r for r, j in mate.items()}
+    omega = [r for r in range(len(zeros)) if r not in mate]
+    seen = set(omega)
+    for r in omega:
+        # a column reached here is matched, or it would end an augmenting path
+        for j in za - zeros[r]:
+            if row_of[j] not in seen:
+                seen.add(row_of[j])
+                omega.append(row_of[j])
+    return (n - len(za) + len(mate) - len(zeros),
+            sorted(r + 1 for r in omega))
 
 
-def _push(graph, edge, units):
-    """Send units along an arc (a negative count cancels flow on it)."""
-    edge[1] -= units
-    graph[edge[0]][edge[2]][1] += units
+def _matching(zeros, anchor):
+    """A maximum matching, as {row: column}, of the columns j of Z_anchor
+    into the rows r with j not in Z_r: one _augment per column (Kuhn 1955;
+    a column that finds no augmenting path never will)."""
+    mate = {}
+    for j in zeros[anchor]:
+        _augment(zeros, mate, j)
+    return mate
 
 
-def _augment(graph, src, snk):
-    """Push one unit along a shortest augmenting path, found by breadth-first
-    search; every arc into snk has capacity 1.
-
-    Returns the nodes reached, each mapped to (previous node, arc used); snk
-    is among them iff a unit was pushed.  After a failed search they are
-    the source side of the least minimum cut.
-    """
-    came = {src: None}
-    queue = [src]
-    for u in queue:
-        for edge in graph[u]:
-            if edge[1] > 0 and edge[0] not in came:
-                came[edge[0]] = (u, edge)
-                queue.append(edge[0])
-        if snk in came:
-            break
-    if snk in came:
-        v = snk
-        while v != src:
-            v, edge = came[v]
-            _push(graph, edge, 1)
-    return came
-
-
-def _max_flow(graph, src, snk):
-    """Max flow by augmenting paths (Ford & Fulkerson 1956), one unit per
-    _augment.
-
-    Returns the flow and the nodes reached by the last, failed search: the
-    source side of the least minimum cut.
-    """
-    flow = 0
-    while True:
-        reached = _augment(graph, src, snk)
-        if snk not in reached:
-            return flow, reached
-        flow += 1
+def _augment(zeros, mate, j):
+    """Breadth-first search from the unmatched column j for an augmenting
+    path: column c reaches each row r with c not in Z_r, and a matched row
+    leads on to its column.  On reaching an unmatched row the path is
+    flipped into mate and True returned; otherwise mate is unchanged."""
+    came, via, queue = {}, {j: None}, [j]   # row -> column, column -> row
+    for c in queue:
+        for r, z in enumerate(zeros):
+            if c not in z and r not in came:
+                came[r] = c
+                if r not in mate:
+                    while r is not None:
+                        mate[r] = came[r]
+                        r = via[came[r]]
+                    return True
+                via[mate[r]] = r
+                queue.append(mate[r])
+    return False
 
 
 def gm_check(pattern):
@@ -152,8 +127,8 @@ def pad_pattern(pattern):
 
     Greedy over j = 1..n.  Adding j to Z_i only shrinks Y_i, so only the
     surplus anchored at row i can fall, and with k rows it stays >= n - k
-    iff the max flow of _flow_graph(anchor i) still saturates all n column
-    arcs; _pad_row keeps one such flow per row.
+    iff every column of Z_i stays matched (see _anchored_surplus); _pad_row
+    keeps one such matching per row.
     """
     k = pattern.k
     violation = gm_check(pattern)
@@ -169,13 +144,13 @@ def pad_pattern(pattern):
 
 
 def _pad_row(zeros, n, i):
-    """Add to zeros[i] each j = 1..n that keeps the flow of anchor i at n,
-    until it holds k - 1 positions.
+    """Add to zeros[i] each j = 1..n that keeps the surplus anchored at i at
+    n - k, until it holds k - 1 positions.
 
-    Adding j deletes the arc row i -> column j, which carries at most one
-    unit.  Without flow on it the flow stays maximal; otherwise that unit
-    is cancelled along source -> i -> j -> sink and one augmenting path
-    decides.
+    With GM, every column of Z_i is matched (see _anchored_surplus).  Adding
+    j to Z_i drops j from Y_i and makes j a column to match, so one
+    augmenting search from j decides; a failed search leaves the matching
+    as it was.
 
     A row rejects at most one j, so after a rejection the next free
     positions are added unchecked.  A rejection of j comes from a tight row
@@ -188,26 +163,18 @@ def _pad_row(zeros, n, i):
     GM on C allows.
     """
     k = len(zeros)
-    snk = k + n + 1
-    graph = _flow_graph(zeros, n, i)
-    _max_flow(graph, 0, snk)                # flow n: GM holds
-    arcs = {edge[0] - k: edge for edge in graph[1 + i][1:]}
+    mate = _matching(zeros, i)
     for j in range(1, n + 1):
         if len(zeros[i]) >= k - 1:
             return
         if j in zeros[i]:
             continue
-        edge = arcs[j]
-        if graph[edge[0]][edge[2]][1]:      # flow on row i -> j
-            for e in (graph[0][i], edge, graph[k + j][-1]):
-                _push(graph, e, -1)
-            edge[1] = 0
-            if snk not in _augment(graph, 0, snk):
-                free = [y for y in range(j + 1, n + 1) if y not in zeros[i]]
-                zeros[i].update(free[:k - 1 - len(zeros[i])])
-                return
-        edge[1] = 0
         zeros[i].add(j)
+        if not _augment(zeros, mate, j):
+            zeros[i].discard(j)
+            free = [y for y in range(j + 1, n + 1) if y not in zeros[i]]
+            zeros[i].update(free[:k - 1 - len(zeros[i])])
+            return
 
 
 def field_size_bound(k, q, lengths):

@@ -289,16 +289,84 @@ def bound_consistent(bound, rel_tol=1e-9):
     return True
 
 
+def flow_graph(zeros, n, anchor):
+    """Residual graph source -> row i -> columns Y_i -> sink, Y_i = [n] \\ Z_i.
+
+    Node 0 is the source, 1..k the rows, k + 1..k + n the columns and
+    k + n + 1 the sink.  An arc is [head, residual capacity, index of the
+    reverse arc in graph[head]].  The source arc of the anchor row and every
+    row -> column arc are unbounded; the others have capacity 1.
+    """
+    nrows = len(zeros)
+    graph = [[] for _ in range(nrows + n + 2)]
+
+    def arc(u, v, cap):
+        graph[u].append([v, cap, len(graph[v])])
+        graph[v].append([u, 0, len(graph[u]) - 1])
+
+    inf = nrows + n + 10
+    for i in range(nrows):
+        arc(0, 1 + i, inf if i == anchor else 1)
+        for y in range(1, n + 1):
+            if y not in zeros[i]:
+                arc(1 + i, nrows + y, inf)
+    for y in range(1, n + 1):
+        arc(nrows + y, nrows + n + 1, 1)
+    return graph
+
+
+def _augment(graph, src, snk):
+    """Push one unit along a shortest augmenting path, found by breadth-first
+    search; every arc into snk has capacity 1.  Returns the nodes reached;
+    snk is among them iff a unit was pushed."""
+    came = {src: None}
+    queue = [src]
+    for u in queue:
+        for edge in graph[u]:
+            if edge[1] > 0 and edge[0] not in came:
+                came[edge[0]] = (u, edge)
+                queue.append(edge[0])
+        if snk in came:
+            break
+    if snk in came:
+        v = snk
+        while v != src:
+            v, edge = came[v]
+            edge[1] -= 1
+            graph[edge[0]][edge[2]][1] += 1
+    return came
+
+
+def max_flow(graph, src, snk):
+    """Max flow by augmenting paths (Ford & Fulkerson 1956), one unit per
+    search.  Returns the flow and the nodes reached by the last, failed
+    search: the source side of the least minimum cut."""
+    flow = 0
+    while True:
+        reached = _augment(graph, src, snk)
+        if snk not in reached:
+            return flow, reached
+        flow += 1
+
+
+def anchored_surplus(zeros, n, anchor):
+    """support._anchored_surplus read from a min cut of max_flow on
+    flow_graph: (flow - k, the rows on the source side, 1-based)."""
+    nrows = len(zeros)
+    flow, reached = max_flow(flow_graph(zeros, n, anchor), 0, nrows + n + 1)
+    return flow - nrows, sorted(u for u in reached if 1 <= u <= nrows)
+
+
 def pad_pattern(pattern):
     """support.pad_pattern by one fresh max flow per candidate position:
     greedy over j = 1..n, keeping j in Z_i iff the surplus anchored at
     row i stays >= n - k."""
-    k = pattern.k
-    violation = support.gm_check(pattern)
-    if violation is not None:
-        raise ValueError(f"GM condition violated by rows {violation}")
+    k, n = pattern.k, pattern.n
     zeros = [set(z) for z in pattern.zeros]
-    n = pattern.n
+    for i in range(k):
+        surplus, omega = anchored_surplus(zeros, n, i)
+        if surplus < n - k:
+            raise ValueError(f"GM condition violated by rows {omega}")
     for i in range(len(zeros)):
         for j in range(1, n + 1):
             if len(zeros[i]) >= k - 1:
@@ -306,7 +374,7 @@ def pad_pattern(pattern):
             if j in zeros[i]:
                 continue
             zeros[i].add(j)
-            surplus, _ = support._anchored_surplus(zeros, n, i)
+            surplus, _ = anchored_surplus(zeros, n, i)
             if surplus < n - k:
                 zeros[i].discard(j)
         if len(zeros[i]) != k - 1:

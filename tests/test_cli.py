@@ -508,3 +508,27 @@ def test_module_entry_point():
     proc = run_cli(["support-check", "--n", "3", "--zeros", "1; 2"])
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["gm_ok"]
+
+
+@pytest.mark.parametrize("argv, option, token", [
+    (["support-check", "--n", "3", "--zeros", "a"], "--zeros", "a"),
+    (["support-check", "--n", "3", "--zeros", "1;2 b"], "--zeros", "b"),
+    (["--seed", "7", "dist-design", "--lengths", "1 x", "--access", "1;2",
+      "--t", "1", "--rho", "1", "--ell", "2"], "--lengths", "x"),
+    (["--seed", "7", "dist-design", "--lengths", "1 1", "--access", "1;2,y",
+      "--t", "1", "--rho", "1", "--ell", "2"], "--access", "y"),
+    (["bounds-table", "--metric", "sumrank", "--n", "8", "--d", "3", "--q",
+      "2", "--m", "4", "--partition", "4 4.0"], "--partition", "4.0"),
+    (["skew-eval", "--q", "9", "--m", "1", "--coeffs", "1 z", "--points",
+      "2"], "--coeffs", "z"),
+    (["skew-eval", "--q", "9", "--m", "1", "--coeffs", "1 1", "--points",
+      "0x2"], "--points", "0x2"),
+    (["lrs-gen", "--q", "3", "--m", "4", "--lengths", "2 two", "--k", "2"],
+     "--lengths", "two"),
+])
+def test_malformed_integer_lists_name_the_flag(capsys, argv, option, token):
+    # these used to exit 2 with "invalid literal for int() with base 10"
+    assert cli.main(argv) == cli.EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert option in err and repr(token) in err

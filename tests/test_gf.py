@@ -1,4 +1,5 @@
 import copy
+import functools
 import hashlib
 import itertools
 import random
@@ -519,6 +520,98 @@ def test_kronecker_mul_matches_tables(key):
     for x in fld.elements():
         for y in ys:
             assert fld._poly_mul(x, y) == fld.mul(x, y)
+
+
+# no-table fields over an odd prime field: gf.mat_mul runs Kronecker's
+# lazily reduced matrix product on them
+MAT_MUL_FIELDS = (gf.field(7, 1, 11), gf.field(5, 1, 9), gf.field(3, 1, 15))
+
+
+def _mat_mul_oracle(fld, a, b):
+    """a * b cell by cell with oracles.mul and oracles.add."""
+    return [[functools.reduce(lambda acc, xy: oracles.add(
+                fld, acc, oracles.mul(fld, *xy)), zip(row, col), 0)
+             for col in zip(*b)] for row in a]
+
+
+@settings(max_examples=120)
+@given(st.data())
+def test_kronecker_mat_mul_matches_cell_oracle(data):
+    fld = data.draw(st.sampled_from(MAT_MUL_FIELDS), label="field")
+    top = fld.order - 1
+    code = st.sampled_from([0, 0, 1, top]) | st.integers(0, top)
+    k = data.draw(st.integers(1, 70), label="K")
+    nrows = data.draw(st.integers(0, 3), label="rows")
+    ncols = data.draw(st.integers(1, 3), label="cols")
+    row = st.lists(code, min_size=k, max_size=k) | st.just([0] * k)
+    a = data.draw(st.lists(row, min_size=nrows, max_size=nrows), label="a")
+    b = data.draw(st.lists(st.lists(code, min_size=ncols, max_size=ncols)
+                           | st.just([0] * ncols), min_size=k, max_size=k),
+                  label="b")
+    assert "mat_mul" in fld._ops
+    assert gf.mat_mul(fld, a, b) == _mat_mul_oracle(fld, a, b)
+
+
+@pytest.mark.parametrize("fld", MAT_MUL_FIELDS, ids=repr)
+@pytest.mark.parametrize("k", [1, 2, 63, 64, 65, 200])
+def test_kronecker_mat_mul_largest_slot_sums(fld, k):
+    # every digit p - 1 in every entry: each slot of the unreduced sum is as
+    # large as K allows
+    top = fld.order - 1
+    a = [[top] * k, [0] * k, [1] * k]
+    b = [[top, 0, fld.gamma]] * k
+    assert gf.mat_mul(fld, a, b) == _mat_mul_oracle(fld, a, b)
+    assert gf.mat_mul(fld, [], b) == []
+
+
+def test_kronecker_mat_mul_makes_no_per_cell_call():
+    # a fall back to the row kernel (one mul or axpy per cell) fails here
+    fld = gf.field(7, 1, 11)
+    rng = random.Random(5)
+    a = [[rng.randrange(fld.order) for _ in range(11)] for _ in range(11)]
+    b = [[rng.randrange(fld.order) for _ in range(33)] for _ in range(11)]
+    want = _mat_mul_oracle(fld, a, b)
+    calls = []
+    for op in ("mul", "axpy", "add"):
+        setattr(fld, op, _counting(getattr(fld, op), calls))
+    try:
+        got = gf.mat_mul(fld, a, b)
+    finally:
+        for op in ("mul", "axpy", "add"):
+            delattr(fld, op)
+    assert calls == []
+    assert got == want
+
+
+@pytest.mark.parametrize("key", [(3, 2, 7), (2, 1, 33)])
+def test_mat_mul_row_kernel_path(key):
+    # GF(9^7) and GF(2^33) have no Kronecker product: one axpy per nonzero
+    # entry of a, with the same product
+    fld = gf.field(*key)
+    assert not fld.has_tables and "mat_mul" not in fld._ops
+    rng = random.Random(9)
+    a = [[rng.randrange(fld.order) for _ in range(6)], [0] * 6,
+         [0, 1, 0, 2, 0, fld.gamma]]
+    b = [[rng.randrange(fld.order) for _ in range(4)] for _ in range(6)]
+    calls = []
+    fld.axpy = _counting(fld.axpy, calls)
+    try:
+        got = gf.mat_mul(fld, a, b)
+    finally:
+        del fld.axpy
+    assert len(calls) == 6 + 3
+    assert got == _mat_mul_oracle(fld, a, b)
+
+
+@settings(max_examples=120)
+@given(st.data())
+def test_chunked_frobenius_matches_powering(data):
+    fld = data.draw(st.sampled_from(MAT_MUL_FIELDS), label="field")
+    top = fld.order - 1
+    x = data.draw(st.sampled_from([0, 1, top]) | st.integers(0, top),
+                  label="x")
+    for j in range(1, fld.m):
+        assert fld.frob(x, j) == fld._poly_pow(x, fld.q ** j)
 
 
 # char-2 tables, odd-characteristic tables, the two-level GF(9^2), a prime field

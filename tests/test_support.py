@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from skewcodes import gf, lrs, metric, support
 
-from oracles import exhaustive_min_total, gm_check_exhaustive, pad_pattern
+from oracles import (anchored_surplus, exhaustive_min_total,
+                     gm_check_exhaustive, pad_pattern)
 
 TOY = support.NetworkInstance(
     lengths=[1, 3, 2, 3],
@@ -184,6 +185,27 @@ def test_pad_pattern_matches_oracle_on_design_patterns():
     for pattern in patterns:
         assert (_pad_outcome(support.pad_pattern, pattern)
                 == _pad_outcome(pad_pattern, pattern))
+
+
+@settings(max_examples=400)
+@given(st.data())
+def test_anchored_surplus_matches_max_flow(data):
+    # the matching gives the flow's surplus and the least minimizing Omega
+    n = data.draw(st.integers(1, 9), label="n")
+    k = data.draw(st.integers(1, 7), label="k")
+    zeros = data.draw(st.lists(st.sets(st.integers(1, n)),
+                               min_size=k, max_size=k), label="zeros")
+    for anchor in range(k):
+        assert (support._anchored_surplus(zeros, n, anchor)
+                == anchored_surplus(zeros, n, anchor))
+
+
+def test_anchored_surplus_matches_max_flow_on_design_patterns():
+    pattern = toy_pattern()
+    zeros = list(pattern.zeros) + [frozenset(), {1, 2, 3}]
+    for anchor in range(len(zeros)):
+        assert (support._anchored_surplus(zeros, pattern.n, anchor)
+                == anchored_surplus(zeros, pattern.n, anchor))
 
 
 def test_field_size_bound():
