@@ -18,6 +18,7 @@ from fractions import Fraction
 from . import gf, grscode
 
 EXHAUSTIVE_GUARD = 1 << 22
+FAMILY_GUARD = 1 << 16      # subspaces, one per codeword, that construct lists
 
 
 @dataclass
@@ -71,6 +72,9 @@ def construct(n, k, q):
         raise ValueError("need n > 2k")
     if q < n * k:
         raise ValueError("need q >= nk")
+    if q ** (n - 2 * k) > FAMILY_GUARD:
+        raise ValueError(f"family guard exceeded (q^(n-2k) = {q}^{n - 2 * k}"
+                         " > 2^16 subspaces)")
     field = gf.field_q(q, 1)
     g = field.gamma
     length = n - k - 1

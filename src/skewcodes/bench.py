@@ -170,14 +170,12 @@ def csv_row(t, bounds, sim=None):
     return ",".join(cells)
 
 
-def emit_curves(config, t_range=None):
-    """One CSV row per t with all applicable bounds and the simulated rate."""
-    if t_range is None:
-        tmax = ildec.t_max_radius(config.d, config.s)
-        t_range = range(1, tmax + 3)
+def emit_curves(config):
+    """One CSV row per t = 1..t_max + 2 with all applicable bounds and the
+    simulated rate."""
     buf = io.StringIO()
     buf.write(CSV_HEADER + "\n")
-    for t in t_range:
+    for t in range(1, ildec.t_max_radius(config.d, config.s) + 3):
         inputs = ilbounds.BoundInputs(q=config.field.q, m=config.field.m,
                                       n=config.n, d=config.d, s=config.s,
                                       t=t)

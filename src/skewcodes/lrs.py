@@ -18,7 +18,7 @@ class LrsSpec:
     k: int
     representatives: list = None  # a_1..a_ell from distinct conjugacy classes
     multipliers: list = None      # per-block F_q-independent column multipliers
-    ring: object = dc_field(default=None, repr=False)
+    ring: object = dc_field(init=False, repr=False)
 
     def __post_init__(self):
         fld = self.field
@@ -34,8 +34,10 @@ class LrsSpec:
             raise ValueError("one representative per block")
         if [len(b) for b in self.multipliers] != list(self.lengths):
             raise ValueError("multiplier blocks must match the lengths")
-        reps = [self.ring.conjugacy_class(a) for a in self.representatives]
-        if 0 in reps or len(set(reps)) != ell:
+        # with theta = sigma and delta = 0, a and b are conjugate iff
+        # N(a) = N(b), so distinct classes are distinct norms
+        norms = [fld.norm(a) for a in self.representatives]
+        if 0 in norms or len(set(norms)) != ell:
             raise ValueError("representatives must be nonzero and pairwise "
                              "sigma-distinct")
         for l, block in enumerate(self.multipliers):
@@ -89,8 +91,8 @@ def code_locators(spec):
     They are P-independent by the criterion of Lam and Leroy (J. Algebra
     119, 1988; see Martinez-Penas, J. Algebra 504, 2018) that LrsSpec
     enforces: the a_l lie in pairwise distinct nonzero conjugacy classes
-    (conjugacy_class), and the beta_{l,t} of each block are F_q-linearly
-    independent (rank_q(block) == len(block)).
+    (they have distinct nonzero norms), and the beta_{l,t} of each block are
+    F_q-linearly independent (rank_q(block) == len(block)).
     """
     fld = spec.field
     e = fld.q - 1

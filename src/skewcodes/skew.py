@@ -90,6 +90,9 @@ class SkewRing:
         base = f.base
         if f.q == 2:
             return 1
+        if not base.has_tables:
+            raise ValueError(f"conjugacy classes need the log table of the "
+                             f"base field {base!r}, which has none")
         ng = base.log[f.norm(f.gamma)]
         i = (base.log[nu] * pow(ng, -1, f.q - 1)) % (f.q - 1)
         return f.power(f.gamma, i)

@@ -8,10 +8,10 @@ into the other rows (the max-flow min-cut theorem on the Hall-type form of
 the condition; Dau, Song & Yuen, ISIT 2014), and the condition holds iff
 every such surplus is >= n - k.  The test oracles instead run the max flow
 itself, and search the closures of the deduplicated row groups (a violating
-Omega exists iff its full-group closure violates).  Constrained generators come from minimal
-skew polynomials (row i of T holds the coefficients of f_{Z_i}); the
-designer solves the covering ILP of the capacity and zero-constraint
-families exactly.
+Omega exists iff its full-group closure violates).  Constrained
+generators come from minimal skew polynomials (row i of T holds the
+coefficients of f_{Z_i}); the designer solves its covering ILP exactly, on
+one row per distinct set of sources that a message set meets.
 """
 
 import itertools
@@ -19,6 +19,8 @@ import random
 from dataclasses import dataclass
 
 from . import gf, lrs, skew
+
+MAX_RESAMPLES = 64          # multiplier resamples while T is singular
 
 
 @dataclass
@@ -239,7 +241,7 @@ def _resample_multipliers(spec, rng):
                        multipliers=blocks)
 
 
-def build_constrained_generator(spec, pattern, rng=None, max_resamples=64):
+def build_constrained_generator(spec, pattern, rng=None):
     """Full-rank T and G = T * G_LRS with zeros exactly at the padded pattern.
 
     Multipliers are resampled (fresh per-block independent tuples) whenever
@@ -257,14 +259,14 @@ def build_constrained_generator(spec, pattern, rng=None, max_resamples=64):
     if spec.field.m < need_m:
         raise ValueError(f"field too small: need extension degree {need_m}")
     attempt_spec = spec
-    for attempt in range(1, max_resamples + 1):
+    for attempt in range(1, MAX_RESAMPLES + 1):
         built = _try_build(attempt_spec, padded)
         if built is not None:
             t_mat, g = built
             _assert_zero_placement(g, padded)
             return ConstrainedResult(t_mat, g, attempt_spec, padded, attempt)
         attempt_spec = _resample_multipliers(spec, rng)
-    raise RuntimeError(f"transform still singular after {max_resamples} "
+    raise RuntimeError(f"transform still singular after {MAX_RESAMPLES} "
                        "multiplier resamples")
 
 
@@ -277,7 +279,7 @@ def _assert_zero_placement(g, pattern):
                 f"prescribed {sorted(pattern.zeros[i])}")
 
 
-def build_subcode_generator(pattern, spec, rng=None, max_resamples=64):
+def build_subcode_generator(pattern, spec, rng=None):
     """First k rows of the [n, ktilde] constrained generator.
 
     Pads the pattern with empty rows Z_{k+1..ktilde}; the resulting code has
@@ -286,15 +288,15 @@ def build_subcode_generator(pattern, spec, rng=None, max_resamples=64):
     kt = ktilde(pattern)
     if spec.k != kt:
         raise ValueError(f"spec dimension must be ktilde = {kt}")
-    return _padded_generator(pattern, spec, rng, max_resamples)
+    return _padded_generator(pattern, spec, rng)
 
 
-def _padded_generator(pattern, spec, rng, max_resamples):
+def _padded_generator(pattern, spec, rng):
     """build_subcode_generator for a spec whose k is known to be ktilde."""
     extended = ZeroPattern(pattern.n,
                            list(pattern.zeros)
                            + [frozenset()] * (spec.k - pattern.k))
-    result = build_constrained_generator(spec, extended, rng, max_resamples)
+    result = build_constrained_generator(spec, extended, rng)
     return result.generator[:pattern.k], result
 
 
@@ -362,39 +364,39 @@ class InfeasibleDesign(ValueError):
 
 
 def _covering_rows(instance):
-    """Both constraint families as (covering index set, rhs, tag, Omega)."""
-    h, ell, t, rho = instance.h, instance.ell, instance.t, instance.rho
-    rows = []
-    for size in range(1, h + 1):
-        for omega in itertools.combinations(range(1, h + 1), size):
-            oset = frozenset(omega)
-            touch = [i for i, j in enumerate(instance.access) if j & oset]
-            r_sum = sum(instance.lengths[i - 1] for i in omega)
-            rows.append((tuple(touch), r_sum + 2 * t + rho, "capacity", oset))
-            rows.append((tuple(touch), r_sum + 2 * ell * t + rho, "zero",
-                         oset))
+    """{touch: rhs}: for each message set Omega the sources whose access
+    sets meet it (its touch) must carry r(Omega) + 2t + rho symbols
+    (capacity) and r(Omega) + 2*ell*t + rho (zero constraint); with ell >= 1
+    the latter dominates, and a touch keeps the largest rhs of its Omegas,
+    the only one of them that can bind."""
+    extra = 2 * instance.ell * instance.t + instance.rho
+    rows = {}
+    for size in range(1, instance.h + 1):
+        for omega in itertools.combinations(range(1, instance.h + 1), size):
+            touch = tuple(i for i, j in enumerate(instance.access)
+                          if not j.isdisjoint(omega))
+            rhs = sum(instance.lengths[i - 1] for i in omega) + extra
+            rows[touch] = max(rows.get(touch, 0), rhs)
     return rows
 
 
 def solve_source_lengths(instance):
-    """Exact ILP by branch and bound: minimize sum n_J subject to both
-    constraint families.  Any optimal point is accepted (non-unique optima
+    """Exact ILP by branch and bound: minimize sum n_J subject to the rows
+    of _covering_rows.  Any optimal point is accepted (non-unique optima
     are fine); every n_J in an optimum is at most the largest RHS.
     """
-    rows = _covering_rows(instance)
-    for touch, rhs, tag, omega in rows:
-        if not touch and rhs > 0:
+    for msg in range(1, instance.h + 1):
+        if not any(msg in j for j in instance.access):
             raise InfeasibleDesign(
-                omega, f"{tag} constraint for messages {sorted(omega)} "
+                frozenset({msg}), f"capacity constraint for messages [{msg}] "
                 "cannot be met: no source covers them")
+    rows = _covering_rows(instance)
     s = instance.s
-    cap = max(rhs for _, rhs, _, _ in rows)
-    touches = [r[0] for r in rows]
-    rhss = [r[1] for r in rows]
+    touches, deficits = list(rows), list(rows.values())
+    cap = max(deficits)
     last_var = [max(t) for t in touches]
     rows_of = [[ri for ri, t in enumerate(touches) if i in t]
                for i in range(s)]
-    deficits = list(rhss)
     best = [None, s * cap + 1]
     assign = [0] * s
 
@@ -409,8 +411,7 @@ def solve_source_lengths(instance):
         if total + need >= best[1]:
             return
         if idx == s:
-            best[0] = list(assign)
-            best[1] = total
+            best[:] = [list(assign), total]
             return
         for val in range(min(cap, best[1] - 1 - total), -1, -1):
             assign[idx] = val
@@ -421,9 +422,7 @@ def solve_source_lengths(instance):
                 deficits[ri] += val
         assign[idx] = 0
 
-    dfs(0, 0)
-    if best[0] is None:
-        raise InfeasibleDesign(frozenset(), "no feasible assignment found")
+    dfs(0, 0)     # every message is covered: n_J = cap for all J is feasible
     return {instance.access[i]: best[0][i] for i in range(s)}, best[1]
 
 
@@ -465,7 +464,7 @@ def design_pattern(instance, source_lengths):
     return ZeroPattern(n, zeros)
 
 
-def distributed_design(instance, rng=None, max_resamples=64):
+def distributed_design(instance, rng=None):
     """Designs and constructs a distributed LRS code for the instance."""
     source_lengths, n = solve_source_lengths(instance)
     pattern = design_pattern(instance, source_lengths)
@@ -477,7 +476,7 @@ def distributed_design(instance, rng=None, max_resamples=64):
     p, e = gf.prime_power(q)
     fld = gf.field(p, e, m)
     spec = lrs.default_spec(fld, blocks, kt)
-    generator, result = _padded_generator(pattern, spec, rng, max_resamples)
+    generator, result = _padded_generator(pattern, spec, rng)
     return DesignResult(instance, source_lengths, n, kt, d, q, m, blocks,
                         pattern, result.spec, result.t_matrix, generator)
 

@@ -192,12 +192,80 @@ def gm_check_exhaustive(pattern):
     return None
 
 
+def covering_rows(instance):
+    """Both constraint families of the designer's ILP, from the
+    definitions: for every nonempty message set Omega, the sources J whose
+    access sets meet it carry sum n_J >= r(Omega) + 2t + rho (capacity) and
+    >= r(Omega) + 2*ell*t + rho (zero constraint).  Rows are
+    (touch, rhs, tag, Omega), touch the tuple of those sources' indices."""
+    h, ell, t, rho = instance.h, instance.ell, instance.t, instance.rho
+    rows = []
+    for size in range(1, h + 1):
+        for omega in itertools.combinations(range(1, h + 1), size):
+            oset = frozenset(omega)
+            touch = tuple(i for i, j in enumerate(instance.access) if j & oset)
+            r_sum = sum(instance.lengths[i - 1] for i in omega)
+            rows.append((touch, r_sum + 2 * t + rho, "capacity", oset))
+            rows.append((touch, r_sum + 2 * ell * t + rho, "zero", oset))
+    return rows
+
+
+def solve_source_lengths(instance):
+    """The designer's branch and bound over every row of both families:
+    the same DFS order, max-deficit bound and dead-row test as
+    support.solve_source_lengths, so the two return the same optimum.  An
+    uncovered row raises InfeasibleDesign with its Omega."""
+    rows = covering_rows(instance)
+    for touch, rhs, tag, omega in rows:
+        if not touch and rhs > 0:
+            raise support.InfeasibleDesign(
+                omega, f"{tag} constraint for messages {sorted(omega)} "
+                "cannot be met: no source covers them")
+    s = instance.s
+    cap = max(rhs for _, rhs, _, _ in rows)
+    touches = [r[0] for r in rows]
+    last_var = [max(t) for t in touches]
+    rows_of = [[ri for ri, t in enumerate(touches) if i in t]
+               for i in range(s)]
+    deficits = [r[1] for r in rows]
+    best = [None, s * cap + 1]
+    assign = [0] * s
+
+    def dfs(idx, total):
+        need = 0
+        for ri, d in enumerate(deficits):
+            if d > 0:
+                if last_var[ri] < idx:
+                    return
+                if d > need:
+                    need = d
+        if total + need >= best[1]:
+            return
+        if idx == s:
+            best[:] = [list(assign), total]
+            return
+        for val in range(min(cap, best[1] - 1 - total), -1, -1):
+            assign[idx] = val
+            for ri in rows_of[idx]:
+                deficits[ri] -= val
+            dfs(idx + 1, total + val)
+            for ri in rows_of[idx]:
+                deficits[ri] += val
+        assign[idx] = 0
+
+    dfs(0, 0)
+    if best[0] is None:
+        raise support.InfeasibleDesign(frozenset(),
+                                       "no feasible assignment found")
+    return {instance.access[i]: best[0][i] for i in range(s)}, best[1]
+
+
 def exhaustive_min_total(instance):
     """Smallest feasible total of the designer's ILP by direct enumeration
-    (h <= 5)."""
+    over both families (h <= 5)."""
     if instance.h > 5:
         raise ValueError("oracle limited to h <= 5")
-    rows = support._covering_rows(instance)
+    rows = covering_rows(instance)
     s = instance.s
     cap = max(rhs for _, rhs, _, _ in rows)
     for total in range(0, s * cap + 1):

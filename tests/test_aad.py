@@ -14,6 +14,15 @@ def test_construct_family_sizes():
     assert fam2.size == 11 ** 1
 
 
+def test_family_guard():
+    # q^(n-2k) codewords are listed, one subspace each; 7^4 is the largest
+    # family the tests build
+    with pytest.raises(ValueError, match=r"101\^8 > 2\^16"):
+        aad.construct(10, 1, 101)
+    assert 7 ** 4 <= aad.FAMILY_GUARD < 11 ** 5
+    assert aad.construct(6, 1, 7).size == 7 ** 4
+
+
 def test_subspace_dimension_exact():
     fam = aad.construct(5, 2, 11)
     for gen in fam.generators:

@@ -85,8 +85,7 @@ def test_criterion_04_gm_msrd_construction():
     fld = gf.field(2, 2, 9)
     spec = lrs.default_spec(fld, (8, 7, 8), 9)
     rng = bench.SplitMix64(MASTER_SEED)
-    result = support.build_constrained_generator(spec, pattern, rng,
-                                                 max_resamples=64)
+    result = support.build_constrained_generator(spec, pattern, rng)
     assert result.attempts <= 64
     assert gf.rank(fld, result.t_matrix) == 9
     # rows of T are monic minimal-polynomial coefficient vectors

@@ -63,8 +63,8 @@ def test_mc_psuc_t_equals_n_fails():
 
 def test_emit_curves_deterministic_and_header():
     cfg = config(trials=20)
-    csv1 = bench.emit_curves(cfg, range(1, 5))
-    csv2 = bench.emit_curves(cfg, range(1, 5))
+    csv1 = bench.emit_curves(cfg)         # t = 1..t_max + 2 = 1..4
+    csv2 = bench.emit_curves(cfg)
     assert csv1 == csv2
     lines = csv1.strip().split("\n")
     assert lines[0] == "t,RS,LA,LA1,LA2,LT,U,Sim"
@@ -77,7 +77,7 @@ def test_emit_curves_deterministic_and_header():
 def test_emit_curves_bounds_passthrough():
     from skewcodes import ilbounds
     cfg = config(trials=10)
-    lines = bench.emit_curves(cfg, range(2, 4)).strip().split("\n")[1:]
+    lines = bench.emit_curves(cfg).strip().split("\n")[1:]
     for line in lines:
         cells = line.split(",")
         t = int(cells[0])

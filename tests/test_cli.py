@@ -50,6 +50,16 @@ def test_lrs_gen_json_and_csv(tmp_path):
     assert len(lines[0].split(",")) == 4
 
 
+def test_lrs_gen_over_a_base_without_tables(capsys):
+    # exited 3: the representative check read the log table of GF(2^21)
+    argv = ["lrs-gen", "--q", "2097152", "--m", "1", "--lengths", "1",
+            "--k", "1"]
+    assert cli.main(argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["matrix"] == [[1]]
+    assert "matrix_gamma_exponents" not in payload      # no tables
+
+
 def test_support_check():
     code = cli.main(["support-check", "--n", "4", "--zeros", "1; 2"])
     assert code == 0
@@ -399,6 +409,20 @@ def test_aad_verify_guard_exits_quickly(capsys):
     assert code == cli.EXIT_INFEASIBLE
     assert "exhaustive guard exceeded" in capsys.readouterr().err
 
+
+
+@pytest.mark.parametrize("argv", [
+    ["aad-build", "--n", "10", "--k", "1", "--q", "101"],
+    ["--seed", "1", "aad-verify", "--n", "10", "--k", "1", "--q", "101",
+     "--mode", "sample"],
+], ids=["build", "verify-sample"])
+def test_aad_family_guard_exits_quickly(capsys, argv):
+    # both listed all 101^8 codewords before this guard
+    start = time.perf_counter()
+    code = cli.main(argv)
+    assert time.perf_counter() - start < 0.5
+    assert code == cli.EXIT_INFEASIBLE
+    assert "family guard exceeded" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("l_bound, ok, upper, as_lower", [

@@ -194,6 +194,34 @@ def test_conjugate_representatives_rejected():
         lrs.LrsSpec(fld, (1, 1), 1, representatives=[g, conj])
 
 
+def test_representatives_distinct_iff_classes_distinct():
+    # LrsSpec compares norms; conjugacy_class reads the class off the log
+    # of the norm, so both accept the same pairs
+    fld = gf.field(2, 2, 3)
+    ring = skew.SkewRing(fld)
+    for a, b in itertools.product(range(0, fld.order, 3), repeat=2):
+        classes = {ring.conjugacy_class(a), ring.conjugacy_class(b)}
+        distinct = 0 not in classes and len(classes) == 2
+        try:
+            lrs.LrsSpec(fld, (1, 1), 1, representatives=[a, b])
+        except ValueError:
+            assert not distinct
+        else:
+            assert distinct
+
+
+def test_spec_over_a_base_without_tables():
+    # GF(2^21) as F_q with m = 1: conjugacy_class cannot read a log table,
+    # and LrsSpec no longer needs one
+    fld = gf.field(2, 21, 1)
+    spec = lrs.default_spec(fld, (1,), 1)
+    assert lrs.generator_matrix(spec) == [[1]]
+    with pytest.raises(ValueError, match=r"base field GF\(2\^21\)"):
+        spec.ring.conjugacy_class(fld.gamma)
+    with pytest.raises(ValueError, match="nonzero"):
+        lrs.LrsSpec(fld, (1,), 1, representatives=[0])
+
+
 def test_punctured_blocks_are_mrd():
     # each block submatrix generates an MRD code: rank distance n_l - k + 1
     fld = F9

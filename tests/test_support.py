@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from skewcodes import gf, lrs, metric, support
 
+import oracles
 from oracles import (anchored_surplus, exhaustive_min_total,
                      gm_check_exhaustive, pad_pattern)
 
@@ -299,6 +300,66 @@ def test_solver_matches_exhaustive_oracle():
                                        ell=rng.randrange(1, 3))
         _, n = support.solve_source_lengths(inst)
         assert n == exhaustive_min_total(inst)
+
+
+def random_network(rng):
+    """An instance with h <= 7, s <= 6, ell <= 4 and t, rho <= 2; about a
+    fifth of them leave some message uncovered."""
+    h = rng.randrange(1, 8)
+    access = [rng.sample(range(1, h + 1), rng.randrange(1, h + 1))
+              for _ in range(rng.randrange(1, 7))]
+    return support.NetworkInstance(
+        [rng.randrange(1, 3) for _ in range(h)], access, t=rng.randrange(3),
+        rho=rng.randrange(3), ell=rng.randrange(1, 5))
+
+
+def solver_outcome(solve, instance):
+    """(the assignment's items in dict order, total), or the subset and
+    message of the InfeasibleDesign raised."""
+    try:
+        assignment, total = solve(instance)
+    except support.InfeasibleDesign as exc:
+        return "infeasible", exc.subset, str(exc)
+    return list(assignment.items()), total
+
+
+def test_solver_matches_two_family_reference():
+    # the reference scans every row of both constraint families at every
+    # node; one row per touch must give the same optimum, order and errors
+    rng = random.Random(1)
+    infeasible = 0
+    for _ in range(1500):
+        inst = random_network(rng)
+        got = solver_outcome(support.solve_source_lengths, inst)
+        assert got == solver_outcome(oracles.solve_source_lengths, inst)
+        infeasible += got[0] == "infeasible"
+    assert 200 < infeasible < 500
+
+
+def test_solver_matches_two_family_reference_at_h_12():
+    inst = support.NetworkInstance(
+        [1, 3, 1, 2, 1, 2, 2, 2, 3, 2, 1, 1],
+        [{1, 2, 3, 6, 7, 8, 11, 12}, {1, 2, 3, 4, 5, 6, 8, 9, 10, 11},
+         {1, 4, 7, 9}, {2, 4, 6, 8, 9, 10, 11, 12}, {1, 2, 3, 7, 9}],
+        t=2, rho=2, ell=3)
+    assert len(oracles.covering_rows(inst)) == 8190
+    assert len(support._covering_rows(inst)) == 13
+    got = solver_outcome(support.solve_source_lengths, inst)
+    assert got == solver_outcome(oracles.solve_source_lengths, inst)
+    assert [n for _, n in got[0]] == [13, 17, 3, 2, 0] and got[1] == 35
+
+
+def test_covering_rows_keep_one_row_per_touch():
+    # the benchmark's GF(7^11) instance: any two messages meet all four
+    # sources, and message i alone meets the three sources that hold it
+    inst = support.NetworkInstance(TOY.lengths, TOY.access, TOY.t, TOY.rho,
+                                   ell=5)
+    extra = 2 * 5 * 2 + 2
+    assert support._covering_rows(inst) == {
+        (0, 1, 2): 1 + extra, (0, 1, 3): 3 + extra,
+        (0, 1, 2, 3): 9 + extra, (0, 2, 3): 2 + extra,
+        (1, 2, 3): 3 + extra}
+    assert len(oracles.covering_rows(inst)) == 30
 
 
 def test_infeasible_reports_subset():
