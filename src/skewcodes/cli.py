@@ -3,7 +3,8 @@
 Exit codes: 0 ok, 1 usage error, 2 infeasible instance or guard violation,
 3 internal error.  Stochastic subcommands require --seed; --out writes the
 payload to a file instead of stdout; --config FILE loads key=value defaults
-that explicit flags override.
+that explicit flags override, and may supply required options.  Each key
+must name a global option or an option of the subcommand that takes a value.
 """
 
 import argparse
@@ -428,9 +429,10 @@ def _config_defaults(parser, config):
 
     Applied to parser and every subcommand parser before parsing, so that
     an explicit flag still wins and argparse converts each string with the
-    option's own type=.  Flags that take no value keep their defaults, and
-    so do the global options repeated after the subcommand (their default
-    SUPPRESS leaves the top-level value in place).
+    option's own type=; an option that config sets is no longer required.
+    Flags that take no value keep their defaults, and so do the global
+    options repeated after the subcommand (their default SUPPRESS leaves the
+    top-level value in place).
     """
     for action in parser._actions:
         if isinstance(action, argparse._SubParsersAction):
@@ -439,6 +441,20 @@ def _config_defaults(parser, config):
         elif (action.dest in config and action.nargs != 0
               and action.default is not argparse.SUPPRESS):
             action.default = config[action.dest]
+            action.required = False
+
+
+def _check_config_keys(parser, command, config):
+    """A UsageError that names the first key of config that is not an option
+    of `command` (the global options included) that takes a value."""
+    sub, = (a for a in parser._actions
+            if isinstance(a, argparse._SubParsersAction))
+    takes_value = {a.dest: a.nargs != 0
+                   for a in sub.choices[command]._actions if a.option_strings}
+    for key in config:
+        if not takes_value.get(key):
+            raise UsageError(f"config: {key!r} is not an option of {command} "
+                             f"that takes a value")
 
 
 @functools.cache
@@ -447,18 +463,32 @@ def _shared_parser():
     return build_parser()
 
 
+def _parse_args(argv):
+    """The parsed argv, with the defaults of its --config file, if any."""
+    pre = argparse.ArgumentParser(add_help=False)
+    pre.add_argument("--config", nargs="?")   # parse_args rejects a bare one
+    path = pre.parse_known_args(argv)[0].config
+    if path is None:
+        return _shared_parser().parse_args(argv)
+    # _config_defaults changes the defaults in place: use a fresh parser
+    config = _load_config(path)
+    parser = build_parser()
+    _config_defaults(parser, config)
+    args = parser.parse_args(argv)
+    _check_config_keys(parser, args.command, config)
+    return args
+
+
 def main(argv=None):
     try:
-        args = _shared_parser().parse_args(argv)
-        if args.config:
-            # _config_defaults changes the defaults in place: use a fresh one
-            parser = build_parser()
-            _config_defaults(parser, _load_config(args.config))
-            args = parser.parse_args(argv)
+        args = _parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     except OSError as exc:
         sys.stderr.write(f"config: {exc}\n")
+        return EXIT_USAGE
+    except UsageError as exc:
+        sys.stderr.write(f"usage: {exc}\n")
         return EXIT_USAGE
     try:
         args.func(args)

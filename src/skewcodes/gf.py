@@ -4,19 +4,20 @@ Fields are towers F_p -> F_q=F_{p^e} -> F_{q^m} of one class, Field: the
 prime field GF(p) is the bottom level, and every other level is a Field
 over the level below.  Each level's modulus is the lexicographically
 smallest monic irreducible polynomial of its degree over the level below
-(ordered by the integer encoding of its low-order coefficients, and found
-by Rabin's test), so a degree-1 level has modulus x.  The primitive element
-gamma is the smallest element of full multiplicative order, so field tables
-are reproducible across runs.  Fields up to 2^20 elements carry full
+(ordered by the integer encoding of its low-order coefficients; Rabin's
+test on the codes of each candidate's quotient ring, see _irreducible), so
+a degree-1 level has modulus x.  The primitive element gamma is the
+smallest element of full multiplicative order, so field tables are
+reproducible across runs.  Fields up to 2^20 elements carry full
 log/antilog tables, filled by a chunked gamma-walk: multiplication by gamma
 is F_p-linear on codes, so each step is a few table lookups over chunks of
 the code's base-p digits.  In characteristic 2 that is two lookups over the
 low and high halves joined by XOR; otherwise the walk keeps the chunks lo,
 mid and top (top is the extra digit of an odd dim) and sums each one through
 a shared digit-wise sum table.  Larger fields fall back to polynomial
-arithmetic over the level below, with inverses by the extended Euclidean
-algorithm and the Frobenius as an F_p-linear map on the digits, summed from
-tables of the images of digit chunks (see Field._linear_map).
+arithmetic over the level below, with inverses by the norm (Itoh & Tsujii,
+Inf. Comput. 78, 1988) and the Frobenius as an F_p-linear map on the
+digits, summed from tables of the images of digit chunks (Field._linear_map).
 
 Multiplication, by field family:
   - fields of dimension 1 over F_p (prime fields and degree-1 extensions
@@ -29,8 +30,8 @@ Multiplication, by field family:
     digits spread into wide slots, see _kronecker;
   - larger towers over GF(p^e), e > 1: schoolbook products of the digit
     polynomials over the level below, reduced by _poly_mulmod.
-The table walk and the gamma search use the last three, and so do the
-Frobenius maps of fields without tables.
+_mulmod builds the last three.  Rabin's test, the table walk and the gamma
+search use them, and so do the Frobenius maps of fields without tables.
 
 Addition, by field family:
   - fields of dimension 1 over F_p: the sum mod p;
@@ -78,6 +79,7 @@ import operator
 
 TABLE_LIMIT = 1 << 20
 _SPREAD_LIMIT = 1 << 10     # entries of a _digit_map chunk table
+_RABIN_TESTS = 1 << 17      # per modulus search; GF(256^4) needs 65,545
 
 
 # ---------------------------------------------------------------------------
@@ -207,8 +209,8 @@ def next_prime_power(n):
 
 
 # ---------------------------------------------------------------------------
-# dense polynomials over a Field (lists of codes, low degree first), used only
-# to build fields and for arithmetic in fields without tables
+# dense polynomials over a Field (lists of codes, low degree first): the
+# schoolbook product of towers over GF(p^e), e > 1, and the gcd of Rabin's test
 
 def _poly_trim(a):
     while a and a[-1] == 0:
@@ -221,25 +223,19 @@ def _poly_sub(F, a, b):
                        for x, y in itertools.zip_longest(a, b, fillvalue=0)])
 
 
-def _poly_divmod(F, a, mod):
-    """(quotient, remainder) of a divided by a nonzero mod."""
+def _poly_rem(F, a, mod):
+    """The remainder of a divided by a nonzero mod."""
     a = list(a)
     dm = len(mod) - 1
-    inv_lead = F.inv(mod[-1])
-    quot = [0] * max(0, len(a) - dm)
+    inv_lead = 1 if mod[-1] == 1 else F.inv(mod[-1])
     while len(a) > dm:
         c = a.pop()
         if c:
-            f = F.mul(c, inv_lead)
+            f = c if inv_lead == 1 else F.mul(c, inv_lead)
             shift = len(a) - dm
-            quot[shift] = f
             for i in range(dm):
                 a[shift + i] = F.sub(a[shift + i], F.mul(f, mod[i]))
-    return quot, _poly_trim(a)
-
-
-def _poly_rem(F, a, mod):
-    return _poly_divmod(F, a, mod)[1]
+    return _poly_trim(a)
 
 
 def _poly_mulmod(F, a, b, mod):
@@ -255,33 +251,6 @@ def _poly_mulmod(F, a, b, mod):
     return _poly_rem(F, res, mod)
 
 
-def _poly_powmod(F, a, n, mod):
-    result = [1]
-    a = _poly_rem(F, a, mod)
-    while n:
-        if n & 1:
-            result = _poly_mulmod(F, result, a, mod)
-        a = _poly_mulmod(F, a, a, mod)
-        n >>= 1
-    return result
-
-
-def _poly_inv(F, a, mod):
-    """Inverse of a nonzero a modulo an irreducible mod.
-
-    Extended Euclidean algorithm: s_i * a = r_i (mod mod) holds for every
-    remainder r_i, and the last nonzero one is a constant.
-    """
-    r0, r1 = list(mod), _poly_trim(list(a))
-    s0, s1 = [], [1]
-    while len(r1) > 1:
-        quot, rem = _poly_divmod(F, r0, r1)
-        r0, r1 = r1, rem
-        s0, s1 = s1, _poly_sub(F, s0, _poly_mulmod(F, quot, s1, mod))
-    f = F.inv(r1[0])
-    return [F.mul(f, c) for c in s1]
-
-
 def _poly_gcd(F, a, b):
     a, b = _poly_trim(list(a)), _poly_trim(list(b))
     while b:
@@ -289,19 +258,34 @@ def _poly_gcd(F, a, b):
     return a
 
 
+def _pow(mul, x, n):
+    """x^n for n >= 0 by left-to-right square-and-multiply with mul."""
+    if n == 0:
+        return 1
+    r = x
+    for bit in bin(n)[3:]:
+        r = mul(r, r)
+        if bit == "1":
+            r = mul(r, x)
+    return r
+
+
 def _irreducible(F, f):
-    """Rabin's test for a monic f of degree d over F, with |F| = q:
-    x^(q^d) = x mod f, and gcd(x^(q^(d/r)) - x, f) = 1 for each prime r | d.
-    """
-    d = len(f) - 1
-    x = _poly_rem(F, [0, 1], f)
-    if _poly_sub(F, _poly_powmod(F, x, F.order ** d, f), x):
-        return False
-    for r in factorize(d):
-        diff = _poly_sub(F, _poly_powmod(F, x, F.order ** (d // r), f), x)
-        if len(_poly_gcd(F, diff, f)) != 1:
+    """Rabin's test for a monic f of degree d over F, with |F| = q, on the
+    codes of F[z]/(f), in which z is the code q: gcd(z^(q^(d/r)) - z, f) = 1
+    for each prime r | d, each checked as soon as z^(q^(d/r)) is known, and
+    z^(q^d) = z."""
+    d, q = len(f) - 1, F.order
+    if d == 1:          # every monic linear f
+        return True
+    mul, h = _mulmod(F, d, f), q
+    checks = {d // r for r in factorize(d)}
+    for k in range(1, d + 1):
+        h = _pow(mul, h, q)                 # z^(q^k)
+        if k in checks and len(_poly_gcd(
+                F, _poly_sub(F, _digits(h, q, d), [0, 1]), f)) != 1:
             return False
-    return True
+    return h == q
 
 
 def _digits(code, b, n):
@@ -403,6 +387,34 @@ def _kronecker(p, m, modulus):
         return [[reduce(sum(map(operator.mul, xs, col))) for col in cols]
                 for xs in [[spread(x) for x in row] for row in a]]
     return mul, mat_mul
+
+
+def _mulmod(base, m, f):
+    """The product of codes of base[z]/(f), f a monic list of degree m:
+    carry-less over GF(2), reduced by shifted XORs of f; _kronecker's over
+    odd GF(p); _poly_mulmod on the digit lists over GF(p^e), e > 1."""
+    if base.order == 2:
+        mod = _undigits(f, 2)
+
+        def mul(x, y):
+            r = 0
+            while y:
+                if y & 1:
+                    r ^= x
+                x <<= 1
+                y >>= 1
+            while r.bit_length() > m:
+                r ^= mod << (r.bit_length() - 1 - m)
+            return r
+        return mul
+    if base.base is None:
+        return _kronecker(base.p, m, f)[0]
+    q = base.order
+
+    def mul(x, y):
+        return _undigits(_poly_mulmod(base, _digits(x, q, m),
+                                      _digits(y, q, m), f), q)
+    return mul
 
 
 def _chunks(codes, P):
@@ -547,10 +559,10 @@ def _zech_ops(p, exp, log):
 
 
 def _no_table_ops(fld):
-    """Fields without tables: the product of Field._poly_mul (carry-less,
-    Kronecker or schoolbook); XOR in characteristic 2, else digit-wise sums
-    mod p; and a row kernel of one add and one mul per cell."""
-    mul = fld._kron or fld._poly_mul
+    """Fields without tables: the product of _mulmod (carry-less, Kronecker
+    or schoolbook); XOR in characteristic 2, else digit-wise sums mod p; and
+    a row kernel of one add and one mul per cell."""
+    mul = fld._poly_mul
     if fld.p == 2:
         add = sub = operator.xor
         neg = _same
@@ -633,15 +645,9 @@ class Field:
         self.dim = self.e * m          # the dimension over F_p
         self.order = p ** self.dim
         self.has_tables = self.order <= TABLE_LIMIT
-        self._gf2 = base is not None and base.order == 2
         self.modulus = self._find_modulus() if base else None
-        if self._gf2:
-            self._gf2_mod = _undigits(self.modulus, 2)
-        # odd prime base: Kronecker products; over GF(p^e), e > 1, schoolbook
-        self._kron, self._kron_mat_mul = (
-            _kronecker(p, m, self.modulus)
-            if base is not None and base.base is None and p != 2
-            else (None, None))
+        self._poly_mul = (_mulmod(base, m, self.modulus) if base
+                          else lambda x, y: x * y % p)    # without tables
         self.gamma = self._find_gamma()
         if self.has_tables:
             self._build_tables()
@@ -658,8 +664,8 @@ class Field:
             ops = _prime_ops(self.p)
         elif not self.has_tables:
             ops = _no_table_ops(self)
-            if self._kron is not None:
-                ops["mat_mul"] = self._kron_mat_mul
+            if self.e == 1 and self.p != 2:
+                ops["mat_mul"] = _kronecker(self.p, self.m, self.modulus)[1]
         elif self.p == 2:
             ops = _xor_table_ops(self.exp, self.log)
         else:
@@ -677,50 +683,33 @@ class Field:
             setattr(self, name, self._ops[name])
 
     def _find_modulus(self):
-        for code in range(self.q ** self.m):
-            f = _digits(code, self.q, self.m) + [1]
+        """The first monic irreducible of degree m in code order.  An f whose
+        nonzero coefficients sit at degrees divisible by p is g(z^p) = g'(z)^p,
+        skipped untested; a ValueError when _RABIN_TESTS tests find none."""
+        p, q, m = self.p, self.q, self.m
+        tests = 0
+        for code in range(q ** m):
+            f = _digits(code, q, m) + [1]
+            if not any(c for i, c in enumerate(f) if i % p):
+                continue
             if _irreducible(self.base, f):
                 return tuple(f)
-        raise RuntimeError("no irreducible polynomial found")  # unreachable
-
-    def _poly_mul(self, x, y):
-        """Product of two codes without tables."""
-        if self.base is None:
-            return x * y % self.p
-        if self._gf2:
-            # carry-less product, reduced by the degree-m GF(2) modulus
-            r = 0
-            while y:
-                if y & 1:
-                    r ^= x
-                x <<= 1
-                y >>= 1
-            mod, m = self._gf2_mod, self.m
-            top = r.bit_length() - 1
-            while top >= m:
-                r ^= mod << (top - m)
-                top = r.bit_length() - 1
-            return r
-        if self._kron is not None:
-            return self._kron(x, y)
-        q, m = self.q, self.m
-        prod = _poly_mulmod(self.base, _digits(x, q, m), _digits(y, q, m),
-                            self.modulus)
-        return _undigits(prod, q)
+            tests += 1
+            if tests == _RABIN_TESTS:
+                break
+        raise ValueError(f"no irreducible polynomial of degree {m} over "
+                         f"GF({q}) in {_RABIN_TESTS} Rabin tests, so "
+                         f"GF({q}^{m}) cannot be built")
 
     def _poly_pow(self, x, n):
-        r = 1
-        while n:
-            if n & 1:
-                r = self._poly_mul(r, x)
-            x = self._poly_mul(x, x)
-            n >>= 1
-        return r
+        return _pow(self._poly_mul, x, n)
 
     def _find_gamma(self):
+        """The first code of full order q^m - 1.  For m > 1 the search starts
+        at q: the codes below it are F_q, whose orders divide q - 1."""
         n1 = self.order - 1
         factors = list(factorize(n1)) if n1 > 1 else []
-        for cand in range(2, self.order):
+        for cand in range(self.q if self.m > 1 else 2, self.order):
             if all(self._poly_pow(cand, n1 // r) != 1 for r in factors):
                 return cand
         return 1  # order == 2
@@ -808,9 +797,20 @@ class Field:
             return self.exp[(-self.log[x]) % (self.order - 1)]
         if self.base is None:
             return pow(x, -1, self.p)
-        q = self.q
-        return _undigits(_poly_inv(self.base, _digits(x, q, self.m),
-                                   self.modulus), q)
+        if self.m == 1:
+            return self.base.inv(x)
+        # Itoh-Tsujii: x^-1 = x^(r-1) N(x)^-1, r = (q^m - 1)/(q - 1), and
+        # x^(r-1) = sigma(a_(m-1)) with a_k = x sigma(x) ... sigma^(k-1)(x),
+        # from a_2k = a_k sigma^k(a_k) and a_(k+1) = x sigma(a_k)
+        mul, a, k = self._poly_mul, x, 1
+        for bit in bin(self.m - 1)[3:]:
+            a = mul(a, self._frobenius(k)(a))
+            k *= 2
+            if bit == "1":
+                a = mul(x, self._frobenius(1)(a))
+                k += 1
+        a = self._frobenius(1)(a)
+        return mul(a, self.base.inv(mul(x, a)))
 
     def power(self, x, n):
         """x^n for any integer n (negative n inverts a nonzero x)."""
@@ -822,8 +822,7 @@ class Field:
             return 0
         if self.has_tables:
             return self.exp[(self.log[x] * n) % (self.order - 1)]
-        n %= self.order - 1
-        return self._poly_pow(x, n)
+        return self._poly_pow(x, n % (self.order - 1))
 
     def frob(self, x, j=1):
         """Frobenius sigma^j: x -> x^(q^j); j may be any integer."""

@@ -464,6 +464,33 @@ def factorize(n):
     return factors
 
 
+def poly_powmod(F, a, n, mod):
+    """a^n modulo mod on coefficient lists over F, by square-and-multiply."""
+    result = [1]
+    a = gf._poly_rem(F, a, mod)
+    while n:
+        if n & 1:
+            result = gf._poly_mulmod(F, result, a, mod)
+        a = gf._poly_mulmod(F, a, a, mod)
+        n >>= 1
+    return result
+
+
+def irreducible(F, f):
+    """gf._irreducible on coefficient lists: Rabin's test for a monic f of
+    degree d over F, with |F| = q: x^(q^d) = x mod f, and
+    gcd(x^(q^(d/r)) - x, f) = 1 for each prime r | d."""
+    d = len(f) - 1
+    x = gf._poly_rem(F, [0, 1], f)
+    if gf._poly_sub(F, poly_powmod(F, x, F.order ** d, f), x):
+        return False
+    for r in factorize(d):
+        diff = gf._poly_sub(F, poly_powmod(F, x, F.order ** (d // r), f), x)
+        if len(gf._poly_gcd(F, diff, f)) != 1:
+            return False
+    return True
+
+
 def rank_q(field, vector):
     """gf.rank_q as the rank over F_q of the m x n coordinate expansion."""
     return gf.rank(field.base, gf.expand_matrix(field, vector))

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from skewcodes import aad, cli
+from skewcodes import aad, cli, gf
 
 
 def run_cli(args, timeout=300):
@@ -481,6 +481,59 @@ def test_config_file_defaults(tmp_path, capsys):
         assert cli.main(head + argv + extra) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["trials"] == want
+
+
+def test_config_file_supplies_required_options(tmp_path, capsys):
+    # used to exit 1 with "the following arguments are required: --q, --m"
+    cfg = tmp_path / "field.cfg"
+    cfg.write_text("q=4\nm=3\n")
+    argv = ["lrs-gen", "--lengths", "2", "--k", "1"]
+    assert cli.main(["--config", str(cfg)] + argv) == 0
+    from_file = capsys.readouterr().out
+    assert cli.main(argv + ["--q", "4", "--m", "3"]) == 0
+    assert from_file == capsys.readouterr().out
+    # a required option that neither the file nor argv sets is still missing
+    assert cli.main(["--config", str(cfg), "lrs-gen", "--lengths", "2"]) \
+        == cli.EXIT_USAGE
+    assert "required: --k" in capsys.readouterr().err
+
+
+QLRS_LOCAL = ["qlrs-local", "--ell", "2", "--r", "1", "--tau", "0.2"]
+IL_SIM = ["il-sim", "--q", "2", "--m", "3", "--n", "7", "--d", "3", "--s",
+          "1", "--trials", "2"]
+
+
+@pytest.mark.parametrize("key, argv", [
+    ("trails", QLRS_LOCAL), ("n", QLRS_LOCAL), ("scan", QLRS_LOCAL),
+    ("scan", IL_SIM), ("help", IL_SIM)],
+    ids=["typo", "other-subcommand", "flag-elsewhere", "flag", "help"])
+def test_config_file_rejects_unknown_keys_and_flags(tmp_path, capsys, key,
+                                                    argv):
+    # trails=7 and scan=1 used to be dropped, and qlrs-local ran its default
+    # 1000 trials and exited 0; --scan and -h take no value, so a file
+    # cannot set them
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"seed=9\n{key}=1\n")
+    assert cli.main(["--config", str(cfg)] + argv) == cli.EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert (f"config: '{key}' is not an option of {argv[0]} that takes a "
+            f"value") in err
+
+
+def test_lrs_gen_refuses_a_field_without_a_modulus_in_budget(capsys,
+                                                           monkeypatch):
+    # GF(2^21) has no irreducible z^3 + b, and the modulus search gives up
+    # after its Rabin-test budget instead of walking 2^21 candidates; the
+    # budget is lowered from 2^17 tests (about 25 s here) to keep this quick
+    monkeypatch.setattr(gf, "_RABIN_TESTS", 1024)
+    code = cli.main(["lrs-gen", "--q", "2097152", "--m", "3",
+                     "--lengths", "3", "--k", "1"])
+    assert code == cli.EXIT_INFEASIBLE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "degree 3 over GF(2097152)" in err
+    assert "GF(2097152^3) cannot be built" in err
 
 
 def test_il_sim_and_il_bounds_reject_bad_s_and_n(capsys):

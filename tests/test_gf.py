@@ -334,6 +334,71 @@ def test_big_field_no_tables_basic():
     assert fld.mul(x, fld.power(g, 55)) == fld.power(g, 12400)
 
 
+def _mobius(k):
+    f = oracles.factorize(k)
+    return 0 if any(e > 1 for e in f.values()) else (-1) ** len(f)
+
+
+@pytest.mark.parametrize("F, top", [
+    (gf.Field(2), 8), (gf.Field(3), 5), (gf.Field(5), 3), (gf.Field(7), 3),
+    (gf.field(2, 1, 2), 3), (gf.field(3, 1, 2), 3)], ids=repr)
+def test_rabin_on_codes_matches_list_oracle(F, top):
+    # every monic candidate of each degree: the test on codes of F[z]/(f)
+    # agrees with Rabin's test on coefficient lists, the count of
+    # irreducibles is Gauss's (1/d) sum_{k | d} mu(k) q^(d/k), and every
+    # p-th power, which the modulus search skips untested, is reducible
+    q, p = F.order, F.p
+    for d in range(1, top + 1):
+        count = 0
+        for code in range(q ** d):
+            f = gf._digits(code, q, d) + [1]
+            irreducible = gf._irreducible(F, f)
+            assert irreducible == oracles.irreducible(F, f), f
+            if not any(c for i, c in enumerate(f) if i % p):
+                assert not irreducible, f
+            count += irreducible
+        assert count * d == sum(_mobius(k) * q ** (d // k)
+                                for k in range(1, d + 1) if d % k == 0)
+
+
+# moduli (nonzero coefficients below the leading one) and gamma of fields
+# without tables, recorded with the list-based Rabin test (6.4, 2.1, 4.0,
+# 0.4 and 1.1 s to build with it).  GF((2^14)^2) is a tower whose gamma
+# search walked F_q; the modulus searches of GF(64^4) and GF(16^8) run 4,098
+# and 3,859 Rabin tests, because every z^m + a z + b is reducible there
+@pytest.mark.parametrize("key, low, gamma", [
+    ((2, 1, 100), {0: 1, 2: 1, 5: 1, 6: 1}, 7),
+    ((7, 1, 23), {0: 5, 1: 1, 2: 3}, 9),
+    ((2, 14, 2), {0: 512, 1: 1}, 16392),
+    ((2, 6, 4), {0: 1, 1: 2, 2: 1}, 67),
+    ((2, 4, 8), {0: 2, 1: 1, 3: 1}, 16)],
+    ids=["2^100", "7^23", "(2^14)^2", "64^4", "16^8"])
+def test_large_field_modulus_and_gamma_pinned(key, low, gamma):
+    fld = gf.field(*key)
+    assert not fld.has_tables
+    want = [0] * fld.m + [1]
+    for i, c in low.items():
+        want[i] = c
+    assert fld.modulus == tuple(want)
+    assert fld.gamma == gamma
+
+
+def test_modulus_search_refused_after_rabin_budget(monkeypatch):
+    # GF(2^8) takes 20 Rabin tests.  Over GF(2^21) every z^3 + b is
+    # reducible (cubing is onto when 3 does not divide q - 1), so the first
+    # 2^21 candidates all fail; a smaller budget than _RABIN_TESTS keeps the
+    # refusal quick here
+    monkeypatch.setattr(gf, "_RABIN_TESTS", 19)
+    with pytest.raises(ValueError, match="degree 8 over GF\\(2\\) in 19"):
+        gf.Field(2, 8, gf.Field(2))
+    monkeypatch.setattr(gf, "_RABIN_TESTS", 20)
+    assert gf.Field(2, 8, gf.Field(2)).modulus == gf.field(2, 1, 8).modulus
+    monkeypatch.setattr(gf, "_RABIN_TESTS", 1024)
+    with pytest.raises(ValueError,
+                       match="degree 3 over GF\\(2097152\\) in 1024 Rabin"):
+        gf.field_q(2 ** 21, 3)
+
+
 # SHA-256 digests of the field tables, recorded before the field classes
 # were merged into one tower class; moduli and gamma must never drift.
 def _digest(*parts):
@@ -452,7 +517,8 @@ def test_no_table_frobenius_matches_powering(key):
             assert fld.frob(a, j) == powers[j % fld.m]
 
 
-@pytest.mark.parametrize("key", [(7, 1, 11), (2, 1, 33)])
+@pytest.mark.parametrize("key", [(7, 1, 11), (2, 1, 33), (3, 2, 7),
+                                 (2, 3, 7), (2, 1, 67)])
 def test_no_table_inverse_matches_fermat(key):
     fld = gf.field(*key)
     assert not fld.has_tables

@@ -5,6 +5,8 @@ that ``--out`` names.  The cases are the README CLI examples, ``il-bounds``,
 ``aad-build`` and the GF(7^11) ``dist-design`` of the benchmark's
 ``construct`` workload.  A change that alters any printed byte fails here;
 if the change is meant, it records the old and new digests in CHANGES.md.
+Two variants of README examples, with an explicit ``--format json`` and
+with options moved into a ``--config`` file, must print the same bytes.
 """
 
 import hashlib
@@ -91,10 +93,25 @@ GOLDEN = {
 }
 
 
+# name -> (the GOLDEN case it must match, its argv, the --config file text)
+VARIANTS = {
+    "readme-lrs-gen-format-json": (
+        "readme-lrs-gen",
+        ["--format", "json", "lrs-gen", "--q", "4", "--m", "4",
+         "--lengths", "4 4 4", "--k", "3"], None),
+    # the file sets the required --ell and the optional --trials
+    "readme-qlrs-local-config": (
+        "readme-qlrs-local",
+        ["--seed", "3", "--config", "{config}", "qlrs-local", "--r", "3",
+         "--tau", "0.5"], "ell=3\ntrials=5000\n"),
+}
+
+
 def golden_output(argv, tmp_path, capsys):
     """(exit code, the bytes the command printed or wrote to --out)."""
     out = tmp_path / "out.txt"
-    argv = [a.replace("{out}", str(out)) for a in argv]
+    argv = [a.replace("{out}", str(out))
+             .replace("{config}", str(tmp_path / "golden.cfg")) for a in argv]
     code = cli.main(argv)
     printed = capsys.readouterr().out
     if "--out" in argv:
@@ -109,3 +126,13 @@ def test_golden_output(name, tmp_path, capsys):
     code, output = golden_output(argv, tmp_path, capsys)
     assert code == cli.EXIT_OK
     assert hashlib.sha256(output).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name", sorted(VARIANTS))
+def test_golden_variant(name, tmp_path, capsys):
+    case, argv, config = VARIANTS[name]
+    if config is not None:
+        (tmp_path / "golden.cfg").write_text(config)
+    code, output = golden_output(argv, tmp_path, capsys)
+    assert code == cli.EXIT_OK
+    assert hashlib.sha256(output).hexdigest() == GOLDEN[case][1]
