@@ -10,7 +10,6 @@ u lies in S_i + S_j, which depends only on the coset of u modulo S_i, so
 one count per coset of S_i decides every u in it.
 """
 
-import itertools
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,6 +35,8 @@ class AadFamily:
 def check_exhaustive_guard(n, q):
     """Reject an exhaustive check of F_q^n beyond EXHAUSTIVE_GUARD words;
     (n, q) alone decide it, so callers check before building a family."""
+    if n < 1:
+        raise ValueError(f"n = {n} must be >= 1")
     if q ** n > EXHAUSTIVE_GUARD:
         raise ValueError("exhaustive guard exceeded (q^n > 2^22)")
 
@@ -95,11 +96,22 @@ def construct(n, k, q):
 
 
 def verify_spread(family):
-    """All pairs of subspaces intersect trivially (stacked rank 2k)."""
-    k = family.k
-    for g1, g2 in itertools.combinations(family.generators, 2):
-        if gf.rank(family.field, g1 + g2) != 2 * k:
+    """All pairs of subspaces intersect trivially (stacked rank 2k): each
+    generator has rank k, and no normalised word (first nonzero coordinate
+    1) lies in two spans.  Sorted by pivot, the echelon rows b_1..b_k give
+    those of one span as b_i + span(b_(i+1), ..., b_k)."""
+    if family.size < 2:
+        return True
+    field, seen = family.field, set()
+    for rows in family.generators:
+        basis = [row for _, row in sorted(gf.echelon(field, rows))]
+        if len(basis) != family.k:
             return False
+        words = {tuple(word) for i, row in enumerate(basis)
+                 for word in gf.span(field, basis[i + 1:], offset=row)}
+        if not seen.isdisjoint(words):
+            return False
+        seen |= words
     return True
 
 

@@ -170,15 +170,21 @@ def csv_row(t, bounds, sim=None):
     return ",".join(cells)
 
 
+def bound_rows(q, m, n, d, s):
+    """(t, ilbounds.all_bounds) for each row t = 1..t_max + 2 of the bound
+    table.  The inputs are checked at t = 1 first: that range is empty for
+    some bad d."""
+    first = ilbounds.BoundInputs(q=q, m=m, n=n, d=d, s=s, t=1)
+    return [(t, ilbounds.all_bounds(replace(first, t=t)))
+            for t in range(1, ildec.t_max_radius(d, s) + 3)]
+
+
 def emit_curves(config):
     """One CSV row per t = 1..t_max + 2 with all applicable bounds and the
     simulated rate."""
     buf = io.StringIO()
     buf.write(CSV_HEADER + "\n")
-    for t in range(1, ildec.t_max_radius(config.d, config.s) + 3):
-        inputs = ilbounds.BoundInputs(q=config.field.q, m=config.field.m,
-                                      n=config.n, d=config.d, s=config.s,
-                                      t=t)
-        vals = ilbounds.all_bounds(inputs)
+    for t, vals in bound_rows(config.field.q, config.field.m, config.n,
+                              config.d, config.s):
         buf.write(csv_row(t, vals, mc_psuc(config, t).estimate) + "\n")
     return buf.getvalue()

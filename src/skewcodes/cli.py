@@ -8,13 +8,12 @@ must name a global option or an option of the subcommand that takes a value.
 """
 
 import argparse
-import dataclasses
 import functools
 import json
 import sys
 
-from . import (aad, bench, gf, ilbounds, ildec, lrs, metric, netgap,
-               qlrs, support)
+from . import (aad, bench, gf, ildec, lrs, metric, netgap, qlrs,
+               support)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -209,19 +208,11 @@ def cmd_il_sim(args):
 
 
 def cmd_il_bounds(args):
-    # built before the t loop, which is empty for some bad d
-    first = ilbounds.BoundInputs(q=args.q, m=args.m, n=args.n, d=args.d,
-                                 s=args.s, t=1)
-    rows = []
-    tmax = ildec.t_max_radius(args.d, args.s)
-    lines = [bench.CSV_HEADER]
-    for t in range(1, tmax + 3):
-        inputs = dataclasses.replace(first, t=t)
-        vals = ilbounds.all_bounds(inputs)
-        rows.append({"t": t, **{k: (None if v is None else float(v))
-                                for k, v in vals.items()}})
-        lines.append(bench.csv_row(t, vals))
-    _emit(args, {"bounds": rows}, "\n".join(lines) + "\n")
+    rows = bench.bound_rows(args.q, args.m, args.n, args.d, args.s)
+    lines = [bench.CSV_HEADER] + [bench.csv_row(t, vals) for t, vals in rows]
+    _emit(args, {"bounds": [{"t": t, **{k: None if v is None else float(v)
+                                        for k, v in vals.items()}}
+                            for t, vals in rows]}, "\n".join(lines) + "\n")
 
 
 def cmd_qlrs_dim(args):

@@ -278,7 +278,7 @@ def _irreducible(F, f):
     d, q = len(f) - 1, F.order
     if d == 1:          # every monic linear f
         return True
-    mul, h = _mulmod(F, d, f), q
+    mul, h = _mulmod(F, d, f)[0], q
     checks = {d // r for r in factorize(d)}
     for k in range(1, d + 1):
         h = _pow(mul, h, q)                 # z^(q^k)
@@ -390,9 +390,12 @@ def _kronecker(p, m, modulus):
 
 
 def _mulmod(base, m, f):
-    """The product of codes of base[z]/(f), f a monic list of degree m:
-    carry-less over GF(2), reduced by shifted XORs of f; _kronecker's over
-    odd GF(p); _poly_mulmod on the digit lists over GF(p^e), e > 1."""
+    """(mul, mat_mul) of codes of base[z]/(f), f a monic list of degree m.
+
+    mul is carry-less over GF(2), reduced by shifted XORs of f; _kronecker's
+    over odd GF(p); _poly_mulmod on the digit lists over GF(p^e), e > 1.
+    mat_mul is _kronecker's over odd GF(p), else None.
+    """
     if base.order == 2:
         mod = _undigits(f, 2)
 
@@ -406,15 +409,15 @@ def _mulmod(base, m, f):
             while r.bit_length() > m:
                 r ^= mod << (r.bit_length() - 1 - m)
             return r
-        return mul
+        return mul, None
     if base.base is None:
-        return _kronecker(base.p, m, f)[0]
+        return _kronecker(base.p, m, f)
     q = base.order
 
     def mul(x, y):
         return _undigits(_poly_mulmod(base, _digits(x, q, m),
                                       _digits(y, q, m), f), q)
-    return mul
+    return mul, None
 
 
 def _chunks(codes, P):
@@ -514,10 +517,11 @@ def _zech_ops(p, exp, log):
     half = n1 // 2
     zech = None
 
-    def fill():
+    def fill():     # Z is published whole, never without its sentinel
         nonlocal zech
-        zech = [log[e + 1 if e % p != p - 1 else e + 1 - p] for e in exp]
-        zech[half] = None
+        z = [log[e + 1 if e % p != p - 1 else e + 1 - p] for e in exp]
+        z[half] = None
+        zech = z
 
     def add(x, y):
         if not x:
@@ -646,26 +650,27 @@ class Field:
         self.order = p ** self.dim
         self.has_tables = self.order <= TABLE_LIMIT
         self.modulus = self._find_modulus() if base else None
-        self._poly_mul = (_mulmod(base, m, self.modulus) if base
-                          else lambda x, y: x * y % p)    # without tables
+        self._poly_mul, mat_mul = (_mulmod(base, m, self.modulus) if base
+                                   else (lambda x, y: x * y % p, None))
         self.gamma = self._find_gamma()
         if self.has_tables:
             self._build_tables()
         self.basis = tuple(self.q ** i for i in range(m))
         self._frob_maps = []       # sigma^1, sigma^2, ... as they are needed
-        self._bind_ops()
+        self._bind_ops(mat_mul)
 
     # -- construction helpers ------------------------------------------------
 
-    def _bind_ops(self):
-        """Bind this family's add, sub, neg, mul and axpy, and mat_mul for
-        Kronecker fields, on the instance; they are its only definitions."""
+    def _bind_ops(self, mat_mul):
+        """Bind this family's add, sub, neg, mul and axpy, and the mat_mul of
+        _mulmod for Kronecker fields, on the instance; they are its only
+        definitions."""
         if self.dim == 1:
             ops = _prime_ops(self.p)
         elif not self.has_tables:
             ops = _no_table_ops(self)
-            if self.e == 1 and self.p != 2:
-                ops["mat_mul"] = _kronecker(self.p, self.m, self.modulus)[1]
+            if mat_mul is not None:
+                ops["mat_mul"] = mat_mul
         elif self.p == 2:
             ops = _xor_table_ops(self.exp, self.log)
         else:
@@ -719,10 +724,10 @@ class Field:
         f(p^i) of the unit codes, i < dim.
 
         Codes are F_p-coordinates, so f(x) sums digit_i(x) * f(p^i): an XOR
-        of images in characteristic 2.  Otherwise the images are spread into
-        W-bit slots, one per digit, and _digit_map sums the spread images of
-        x's digit chunks from prebuilt tables; a slot then holds at most
-        dim * (p-1)^2, below 2^W, and is reduced mod p once.
+        of images in characteristic 2.  Otherwise the digits of each image
+        are spread into W-bit slots, one per digit, and _digit_map sums the
+        spread images of x's digit chunks from prebuilt tables; a slot then
+        holds at most dim * (p-1)^2, below 2^W, and is reduced mod p once.
         """
         p, dim = self.p, self.dim
         images = [f(p ** i) for i in range(dim)]
@@ -736,8 +741,8 @@ class Field:
                 return y
         else:
             W = (dim * (p - 1) ** 2).bit_length()
-            spread = _digit_map(p, [1 << (W * t) for t in range(dim)])
-            slots = _digit_map(p, [spread(y) for y in images])
+            slots = _digit_map(p, [_undigits(_digits(y, p, dim), 1 << W)
+                                   for y in images])
             read = _slot_reader(p, dim, W)
 
             def apply(x):

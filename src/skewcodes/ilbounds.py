@@ -1,8 +1,9 @@
 """Closed-form success-probability bounds for interleaved RS/alternant
 decoding, the helper maximization, matrix counting and dimension bounds.
 
-All bound values are exact Fractions clamped to [0, 1]; "not applicable"
-outside a bound's validity window is signalled by returning None.
+All bound values are exact Fractions clamped to [0, 1], or None outside a
+bound's validity window.  all_bounds gives the six bounds of one error
+weight t, the three alternant ones from one pass over the weights w.
 """
 
 import math
@@ -40,15 +41,11 @@ def _griesmer_k(q, n, d):
         k += 1
 
 def _plotkin_k(q, n, d):
-    # shorten to n' with d > (1 - 1/q) n', then M <= q^(n-n') d/(d - theta n')
+    # shorten to n' = min(n, ceil(dq/(q-1)) - 1), so d <= n' < dq/(q-1) and
+    # d > (1 - 1/q) n'; then M <= q^(n-n') d/(d - theta n')
     theta = Fraction(q - 1, q)
     n_prime = min(n, -(-d * q // (q - 1)) - 1)
-    if n_prime < d:
-        n_prime = d  # d <= n' always possible since d > theta*d
-    gap = d - theta * n_prime
-    if gap <= 0:
-        return n - d + 1  # fallback; no information
-    size = q ** (n - n_prime) * (Fraction(d) / gap)
+    size = q ** (n - n_prime) * (Fraction(d) / (d - theta * n_prime))
     k = 0
     while q ** (k + 1) <= size:
         k += 1
@@ -136,48 +133,32 @@ def bound_l_rs(inputs):
     return _clamp01(1 - ratio ** t * tail)
 
 
-def _la_terms(inputs, policy, simplified):
+def _alternant_bounds(inputs):
+    """(L.A, L.A1, L.A2) for t < d, in one pass over the weights w = d-t..t:
+    L.A bounds each subcode size by q^(k_q^opt), L.A1 by the Singleton bound
+    instead, and L.A2 is L.A without the |L_0| correction."""
     q, m, d, s, t = inputs.q, inputs.m, inputs.d, inputs.s, inputs.t
-    total = Fraction(0)
+    lines = Fraction(q ** s - 1, q - 1)
+    la = la1 = la2 = Fraction(0)
     for w in range(d - t, t + 1):
         a_w = q ** max(0, w - (d - t - 1) * m)
-        b_w = q ** kopt(q, w, d - t, policy)
         c_w = (q ** m - 1) ** w
         big_b = grscode.b_mds_total(w, d - t, q, m)
+        b_w = q ** kopt(q, w, d - t)
         # a_w and b_w bracket every subcode size and big_b sums them, so the
-        # maximization window is guaranteed for n <= q^m - 1
+        # maximization window is guaranteed for n <= q^m - 1; the Singleton
+        # bound on the dimension only widens it
         assert a_w <= b_w and c_w * a_w <= big_b <= c_w * b_w
-        max_sum = maximize_convex_sum(a_w, b_w, c_w, big_b, s)
-        if simplified:
-            inner = max_sum - c_w
-        else:
-            b_ww = grscode.b_mds(w, d - t, w, q, m)
-            inner = (Fraction(q ** s - 1, q - 1) * (c_w + b_ww - big_b)
-                     - c_w + max_sum)
-        total += Fraction(math.comb(t, w),
-                          (q ** m - 1) * (q ** s - 1) ** w) * inner
-    return _clamp01(1 - total)
-
-
-def bound_l_a(inputs):
-    """L.A: alternant success lower bound (Theorem form)."""
-    if inputs.t >= inputs.d:
-        return None
-    return _la_terms(inputs, KOPT_FULL, simplified=False)
-
-
-def bound_l_a1(inputs):
-    """L.A1: as L.A but with the Singleton bound for k_q^opt."""
-    if inputs.t >= inputs.d:
-        return None
-    return _la_terms(inputs, KOPT_SINGLETON, simplified=False)
-
-
-def bound_l_a2(inputs):
-    """L.A2: simplified lower bound (drops the |L_0| correction)."""
-    if inputs.t >= inputs.d:
-        return None
-    return _la_terms(inputs, KOPT_FULL, simplified=True)
+        full = maximize_convex_sum(a_w, b_w, c_w, big_b, s)
+        single = maximize_convex_sum(
+            a_w, q ** kopt(q, w, d - t, KOPT_SINGLETON), c_w, big_b, s)
+        correction = lines * (c_w + grscode.b_mds(w, d - t, w, q, m)
+                              - big_b) - c_w
+        weight = Fraction(math.comb(t, w), (q ** m - 1) * (q ** s - 1) ** w)
+        la += weight * (correction + full)
+        la1 += weight * (correction + single)
+        la2 += weight * (full - c_w)
+    return _clamp01(1 - la), _clamp01(1 - la1), _clamp01(1 - la2)
 
 
 def bound_l_t(inputs):
@@ -225,22 +206,17 @@ def bound_u(inputs):
     return _clamp01(1 - Fraction(best, (q ** s - 1) ** t))
 
 
-_BOUND_FUNCS = {
-    "L.RS": bound_l_rs,
-    "L.A": bound_l_a,
-    "L.A1": bound_l_a1,
-    "L.A2": bound_l_a2,
-    "L.T": bound_l_t,
-    "U": bound_u,
-}
+def all_bounds(inputs):
+    """The bounds of BOUND_NAMES at inputs, by name; None where one does not
+    apply.  The alternant bounds L.A, L.A1 and L.A2 need t < d."""
+    alternant = (_alternant_bounds(inputs) if inputs.t < inputs.d
+                 else (None, None, None))
+    return dict(zip(BOUND_NAMES, (bound_l_rs(inputs), *alternant,
+                                  bound_l_t(inputs), bound_u(inputs))))
 
 
 def bound(name, inputs):
     """Evaluate one named bound; None means "not applicable" here."""
-    if name not in _BOUND_FUNCS:
+    if name not in BOUND_NAMES:
         raise ValueError(f"unknown bound {name!r}")
-    return _BOUND_FUNCS[name](inputs)
-
-
-def all_bounds(inputs):
-    return {name: bound(name, inputs) for name in BOUND_NAMES}
+    return all_bounds(inputs)[name]

@@ -15,6 +15,7 @@ from . import gf
 from .metric import q_binomial
 
 GAMMA = Fraction(348, 100)          # q-binomial approximation constant
+BETA_ALPHA_MAX = 171                # (alpha-1)! <= 170! fits in a float
 
 
 @dataclass(frozen=True)
@@ -54,8 +55,12 @@ class CombNetParams:
 
     @property
     def beta(self):
-        """((alpha-1)! / (2 e gamma alpha))^(1/(alpha-1)); needs alpha >= 2."""
+        """((alpha-1)! / (2 e gamma alpha))^(1/(alpha-1)); needs
+        2 <= alpha <= BETA_ALPHA_MAX."""
         a = self.alpha
+        if a > BETA_ALPHA_MAX:
+            raise ValueError(f"alpha = {a} exceeds {BETA_ALPHA_MAX}: beta "
+                             f"needs (alpha-1)! as a float")
         return (math.factorial(a - 1) / (2 * math.e * float(GAMMA) * a)) \
             ** (1 / (a - 1))
 

@@ -5,8 +5,11 @@ faster; the tests compare the two.
 """
 
 import itertools
+import math
+from fractions import Fraction
 
-from skewcodes import gf, lrs, metric, netgap, skew, support
+from skewcodes import (gf, grscode, ilbounds, lrs, metric, netgap, skew,
+                       support)
 
 
 def add(field, x, y):
@@ -494,3 +497,46 @@ def irreducible(F, f):
 def rank_q(field, vector):
     """gf.rank_q as the rank over F_q of the m x n coordinate expansion."""
     return gf.rank(field.base, gf.expand_matrix(field, vector))
+
+
+def la_terms(inputs, policy, simplified):
+    """One alternant bound by its own pass over the weights w = d-t..t, for
+    t < d: L.A is (KOPT_FULL, False), L.A1 (KOPT_SINGLETON, False) and L.A2
+    (KOPT_FULL, True), which drops the |L_0| correction."""
+    q, m, d, s, t = inputs.q, inputs.m, inputs.d, inputs.s, inputs.t
+    total = Fraction(0)
+    for w in range(d - t, t + 1):
+        a_w = q ** max(0, w - (d - t - 1) * m)
+        b_w = q ** ilbounds.kopt(q, w, d - t, policy)
+        c_w = (q ** m - 1) ** w
+        big_b = grscode.b_mds_total(w, d - t, q, m)
+        max_sum = ilbounds.maximize_convex_sum(a_w, b_w, c_w, big_b, s)
+        if simplified:
+            inner = max_sum - c_w
+        else:
+            b_ww = grscode.b_mds(w, d - t, w, q, m)
+            inner = (Fraction(q ** s - 1, q - 1) * (c_w + b_ww - big_b)
+                     - c_w + max_sum)
+        total += Fraction(math.comb(t, w),
+                          (q ** m - 1) * (q ** s - 1) ** w) * inner
+    return max(Fraction(0), min(Fraction(1), 1 - total))
+
+
+def all_bounds(inputs):
+    """ilbounds.all_bounds with L.A, L.A1 and L.A2 from three la_terms
+    passes."""
+    alternant = (None, None, None)
+    if inputs.t < inputs.d:
+        alternant = (la_terms(inputs, ilbounds.KOPT_FULL, False),
+                     la_terms(inputs, ilbounds.KOPT_SINGLETON, False),
+                     la_terms(inputs, ilbounds.KOPT_FULL, True))
+    return dict(zip(ilbounds.BOUND_NAMES,
+                    (ilbounds.bound_l_rs(inputs), *alternant,
+                     ilbounds.bound_l_t(inputs), ilbounds.bound_u(inputs))))
+
+
+def verify_spread(family):
+    """aad.verify_spread pair by pair: the stacked generators of every two
+    subspaces have rank 2k."""
+    return all(gf.rank(family.field, g1 + g2) == 2 * family.k
+               for g1, g2 in itertools.combinations(family.generators, 2))

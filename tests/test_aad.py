@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from skewcodes import aad, bench, gf
 
+import oracles
+
 
 def test_construct_family_sizes():
     fam = aad.construct(4, 1, 5)
@@ -49,6 +51,37 @@ def test_identical_subspaces_not_spread():
     fake = aad.AadFamily(fam.field, 4, 1,
                          [fam.generators[0], fam.generators[0]])
     assert not aad.verify_spread(fake)
+
+
+def test_spread_matches_pairwise_oracle():
+    # random small families, with duplicate and rank-deficient generators;
+    # a single subspace passes whatever its rank
+    rng = random.Random(5)
+    fields = [gf.field(2, 1, 1), gf.field(3, 1, 1), gf.field(2, 2, 1),
+              gf.field(5, 1, 1)]
+    verdicts = set()
+    for _ in range(400):
+        fld = rng.choice(fields)
+        k = rng.choice((1, 2))
+        n = rng.randint(2 * k, 2 * k + 2)
+        gens = []
+        for _ in range(rng.randint(0, 5)):
+            kind = rng.random()
+            if gens and kind < 0.15:
+                gens.append([list(r) for r in rng.choice(gens)])
+            else:
+                gen = [[rng.randrange(fld.order) for _ in range(n)]
+                       for _ in range(k)]
+                if kind > 0.85:
+                    gen[-1] = [0] * n if k == 1 else list(gen[0])
+                gens.append(gen)
+        fam = aad.AadFamily(fld, n, k, gens)
+        want = oracles.verify_spread(fam)
+        assert aad.verify_spread(fam) == want, gens
+        verdicts.add((fam.size >= 2, want))
+    assert verdicts == {(True, True), (True, False), (False, True)}
+    lone = aad.AadFamily(fields[0], 2, 1, [[[0, 0]]])
+    assert aad.verify_spread(lone) and oracles.verify_spread(lone)
 
 
 def test_aad_exhaustive_4_1_5():

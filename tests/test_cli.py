@@ -241,6 +241,18 @@ def test_netgap_rejects_unsolvable_window(capsys, args, message):
     assert message in err
 
 
+def test_netgap_rejects_alpha_beyond_float_factorial(capsys):
+    # (alpha-1)! of beta overflowed a float: exit 3 with "int too large to
+    # convert to float"
+    argv = ["netgap", "--h", "3", "--r", "4", "--ell", "1", "--eps", "1"]
+    assert cli.main([*argv, "--alpha", "171"]) == cli.EXIT_OK
+    capsys.readouterr()
+    assert cli.main([*argv, "--alpha", "172"]) == cli.EXIT_INFEASIBLE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "alpha = 172 exceeds 171" in err
+
+
 @pytest.mark.parametrize("tmax", ["0", "-3"])
 def test_netgap_rejects_tmax_below_one(capsys, tmax):
     # a t_max below 1 used to print an empty "qt_curves" list with exit 0
@@ -381,9 +393,11 @@ def test_aad_commands(tmp_path):
       "--mode", "sample", "--samples", "0"], "samples = 0"),
     (["--seed", "1", "aad-verify", "--n", "5", "--k", "1", "--q", "7",
       "--mode", "sample", "--samples", "-5"], "samples = -5"),
-], ids=["q-6", "l-bound-1", "l-bound-2", "samples-0", "samples-5"])
+    (["aad-verify", "--n", "-1", "--k", "1", "--q", "0"], "n = -1"),
+], ids=["q-6", "l-bound-1", "l-bound-2", "samples-0", "samples-5", "n-1"])
 def test_aad_rejects_bad_values(capsys, argv, value):
-    # these exited 3 (q = 6, L = -1) or 0 with a meaningless verdict
+    # these exited 3 (q = 6, L = -1, and n = -1 with q = 0, whose guard
+    # raised 0 to a negative power) or 0 with a meaningless verdict
     assert cli.main(argv) == cli.EXIT_INFEASIBLE
     out, err = capsys.readouterr()
     assert out == ""

@@ -649,6 +649,21 @@ def test_kronecker_mat_mul_makes_no_per_cell_call():
     assert got == want
 
 
+def test_kronecker_built_once_per_field(monkeypatch):
+    # one (mul, mat_mul) pair per Rabin test of the modulus search, and one
+    # for the field, which serves both its product and its mat_mul
+    kronecker, irreducible = gf._kronecker, gf._irreducible
+    built, tested = [], []
+    monkeypatch.setattr(gf, "_kronecker", lambda *a: built.append(a[2])
+                        or kronecker(*a))
+    monkeypatch.setattr(gf, "_irreducible", lambda *a: tested.append(a[1])
+                        or irreducible(*a))
+    fld = gf.Field(7, 11, gf.Field(7))
+    assert len(built) == len(tested) + 1
+    assert list(built[-1]) == list(fld.modulus)
+    assert "mat_mul" in fld._ops
+
+
 @pytest.mark.parametrize("key", [(3, 2, 7), (2, 1, 33)])
 def test_mat_mul_row_kernel_path(key):
     # GF(9^7) and GF(2^33) have no Kronecker product: one axpy per nonzero

@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from skewcodes import gf, ilbounds
+from skewcodes import gf, ilbounds, ildec
+
+import oracles
 
 
 def test_kopt_basics():
@@ -196,3 +198,30 @@ def test_all_bounds_clamped():
         for name, val in ilbounds.all_bounds(inp).items():
             if val is not None:
                 assert 0 <= val <= 1, (name, val)
+
+
+def test_all_bounds_match_three_pass_oracle():
+    # every t of the bound table, exactly; the grid has rows with t >= d,
+    # t < d/2 and s < t, and the il-gf256 and il-gf81-alt parameters
+    seen = set()
+    for q, m, n, d, s in ((2, 8, 255, 33, 3), (3, 4, 80, 21, 2),
+                          (2, 5, 31, 11, 6), (4, 3, 63, 20, 1),
+                          (5, 2, 24, 9, 12), (8, 2, 63, 5, 5),
+                          (7, 1, 6, 5, 4), (2, 4, 15, 1, 2),
+                          (3, 3, 26, 2, 1), (9, 1, 8, 8, 3)):
+        for t in range(1, ildec.t_max_radius(d, s) + 3):
+            inp = ilbounds.BoundInputs(q=q, m=m, n=n, d=d, s=s, t=t)
+            assert ilbounds.all_bounds(inp) == oracles.all_bounds(inp), inp
+            seen |= {t >= d and "t >= d", 2 * t < d and "t < d/2",
+                     s < t and "s < t"}
+    assert {"t >= d", "t < d/2", "s < t"} <= seen
+
+
+def test_bound_names_one_value():
+    inp = ilbounds.BoundInputs(q=2, m=5, n=31, d=11, s=3, t=6)
+    vals = ilbounds.all_bounds(inp)
+    assert list(vals) == list(ilbounds.BOUND_NAMES)
+    for name in ilbounds.BOUND_NAMES:
+        assert ilbounds.bound(name, inp) == vals[name]
+    with pytest.raises(ValueError, match="unknown bound 'L.B'"):
+        ilbounds.bound("L.B", inp)

@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from skewcodes import gf, lrs, metric, support
+from skewcodes import bench, gf, lrs, metric, support
 
 import oracles
 from oracles import (anchored_surplus, exhaustive_min_total,
@@ -233,6 +233,38 @@ def test_constrained_generator_tiny():
     assert gf.rank(fld, result.t_matrix) == 2
     stacked = g + lrs.generator_matrix(result.spec)
     assert gf.rank(fld, stacked) == 2
+
+
+def _singular_default_case():
+    # the default multipliers give a singular T for this pattern
+    spec = lrs.default_spec(gf.field(3, 1, 3), (3, 3), 3)
+    return spec, support.ZeroPattern(6, [{2, 3}, {4, 5}, {6}])
+
+
+def test_constrained_generator_resamples_singular_transform():
+    spec, pattern = _singular_default_case()
+    for seed in (1, 2, 3):
+        result = support.build_constrained_generator(spec, pattern,
+                                                     bench.SplitMix64(seed))
+        assert result.attempts >= 2
+        assert result.spec.multipliers != spec.multipliers
+        assert gf.rank(spec.field, result.t_matrix) == 3
+        for i, row in enumerate(result.generator):
+            zeros = {j + 1 for j, x in enumerate(row) if x == 0}
+            assert zeros == set(result.pattern.zeros[i])
+            assert set(pattern.zeros[i]) <= zeros
+
+
+def test_constrained_generator_gives_up_after_max_resamples(monkeypatch):
+    spec, pattern = _singular_default_case()
+    specs = []
+    monkeypatch.setattr(support, "_try_build",
+                        lambda spec, padded: specs.append(spec))
+    with pytest.raises(RuntimeError, match=f"after {support.MAX_RESAMPLES} "
+                       "multiplier resamples"):
+        support.build_constrained_generator(spec, pattern, random.Random(0))
+    assert len(specs) == support.MAX_RESAMPLES
+    assert specs[0] is spec
 
 
 def test_constrained_generator_rejects_gm_violation():
