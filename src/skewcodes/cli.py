@@ -12,8 +12,8 @@ import functools
 import json
 import sys
 
-from . import (aad, bench, gf, ildec, lrs, metric, netgap, qlrs,
-               support)
+from . import (aad, bench, gf, ilbounds, ildec, lrs, metric, netgap, qlrs,
+               skew, support)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -92,7 +92,6 @@ def _check_codes(fld, option, codes):
 
 def cmd_skew_eval(args):
     fld = gf.field_q(args.q, args.m)
-    from . import skew
     _check_codes(fld, "--beta", [args.beta])
     coeffs = _check_codes(fld, "--coeffs", _parse_ints("--coeffs", args.coeffs))
     points = _check_codes(fld, "--points", _parse_ints("--points", args.points))
@@ -102,18 +101,23 @@ def cmd_skew_eval(args):
     _emit(args, {"field": repr(fld), "values": values})
 
 
-def cmd_lrs_gen(args):
+def _lrs_spec(args, k):
+    """The default LRS spec of dimension k over --q, --m, --lengths."""
     lengths = tuple(_parse_ints("--lengths", args.lengths))
     # before the field: a large m spends seconds in the modulus search
-    lrs.check_shape(args.q, args.m, lengths, args.k)
-    fld = gf.field_q(args.q, args.m)
-    spec = lrs.default_spec(fld, lengths, args.k)
+    lrs.check_shape(args.q, args.m, lengths, k)
+    return lrs.default_spec(gf.field_q(args.q, args.m), lengths, k)
+
+
+def cmd_lrs_gen(args):
+    spec = _lrs_spec(args, args.k)
+    fld = spec.field
     gen = lrs.generator_matrix(spec)
     payload = {"n": spec.n, "k": spec.k, "blocks": list(spec.lengths),
                "locators": lrs.code_locators(spec), "matrix": gen}
     if fld.has_tables:
         payload["matrix_gamma_exponents"] = [
-            [None if x == 0 else fld.dlog(x) for x in row]
+            [None if x == 0 else fld.log[x] for x in row]
             for row in gen]
     text = "\n".join(",".join(str(x) for x in row) for row in gen) + "\n"
     _emit(args, payload, text)
@@ -143,10 +147,7 @@ def cmd_support_check(args):
 def cmd_support_build(args):
     seed = _require_seed(args)
     pattern = _pattern_from_args(args)
-    lengths = tuple(_parse_ints("--lengths", args.lengths))
-    lrs.check_shape(args.q, args.m, lengths, pattern.k)
-    fld = gf.field_q(args.q, args.m)
-    spec = lrs.default_spec(fld, lengths, pattern.k)
+    spec = _lrs_spec(args, pattern.k)
     rng = bench.SplitMix64(seed)
     result = support.build_constrained_generator(spec, pattern, rng)
     _emit(args, {"attempts": result.attempts,
@@ -171,32 +172,35 @@ def cmd_dist_design(args):
         "generator_cols": len(res.generator[0])})
 
 
+def _net_bounds(bounds):
+    return [{"name": b.name, "applicable": b.applicable,
+             "value": str(b.value) if b.value is not None else None,
+             "log2": b.log2} for b in bounds]
+
+
 def cmd_netgap(args):
     params = netgap.CombNetParams(h=args.h, r=args.r, alpha=args.alpha,
                                   ell=args.ell, eps=args.eps, q=args.q,
                                   t=args.t)
-    uppers = [{"name": b.name, "applicable": b.applicable,
-               "value": str(b.value) if b.value is not None else None,
-               "log2": b.log2} for b in netgap.rmax_upper(params)]
-    lowers = [{"name": b.name, "applicable": b.applicable,
-               "value": str(b.value) if b.value is not None else None,
-               "log2": b.log2} for b in netgap.rmax_lower(params)]
-    payload = {"theta": params.theta, "uppers": uppers, "lowers": lowers,
+    payload = {"theta": params.theta,
+               "uppers": _net_bounds(netgap.rmax_upper(params)),
+               "lowers": _net_bounds(netgap.rmax_lower(params)),
                "qt_curves": netgap.qt_conditions(params, args.tmax),
                "gap": netgap.gap_bounds(params)}
     _emit(args, payload)
 
 
-def _experiment_from_args(args):
-    fld = gf.field_q(args.q, args.m)
-    return bench.ExperimentConfig(kind=args.kind, field=fld, n=args.n,
-                                  d=args.d, s=args.s, trials=args.trials,
-                                  seed=_require_seed(args),
-                                  support_mode=args.support_mode)
-
-
 def cmd_il_sim(args):
-    cfg = _experiment_from_args(args)
+    seed = _require_seed(args)
+    # before the field: a large m spends seconds in the modulus search
+    ilbounds.BoundInputs(q=args.q, m=args.m, n=args.n, d=args.d, s=args.s,
+                         t=1)
+    if args.trials < 1:
+        raise GuardError("trial count must be >= 1")
+    cfg = bench.ExperimentConfig(kind=args.kind,
+                                 field=gf.field_q(args.q, args.m), n=args.n,
+                                 d=args.d, s=args.s, trials=args.trials,
+                                 seed=seed, support_mode=args.support_mode)
     if args.scan:
         thr = bench.threshold_scan(cfg, target=args.target,
                                    trials=args.trials)
@@ -252,12 +256,9 @@ def cmd_aad_verify(args):
     upper, as_lower = aad.bounds(args.n, args.k, l_bound, args.q)
     # verify_aad checks its mode's arguments before any coset work, so it
     # runs first: a rejected call never pays for verify_spread
-    if args.mode == "sample":
-        rng = bench.SplitMix64(_require_seed(args))
-        ok = aad.verify_aad(fam, l_bound, mode="sample",
-                            samples=args.samples, rng=rng)
-    else:
-        ok = aad.verify_aad(fam, l_bound)
+    rng = (bench.SplitMix64(_require_seed(args)) if args.mode == "sample"
+           else None)
+    ok = aad.verify_aad(fam, l_bound, args.mode, args.samples, rng)
     spread = aad.verify_spread(fam)
     _emit(args, {"size": fam.size, "spread": spread, "aad_ok": ok,
                  "L": l_bound, "upper_bound": str(upper),

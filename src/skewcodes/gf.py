@@ -645,8 +645,7 @@ class Field:
         self.m = m
         self.base = base
         self.q = base.order if base else p
-        self.e = base.dim if base else 1
-        self.dim = self.e * m          # the dimension over F_p
+        self.dim = (base.dim if base else 1) * m    # the dimension over F_p
         self.order = p ** self.dim
         self.has_tables = self.order <= TABLE_LIMIT
         self.modulus = self._find_modulus() if base else None
@@ -856,18 +855,6 @@ class Field:
             return x
         return self.power(x, (self.order - 1) // (self.q - 1))
 
-    def coords(self, x):
-        """F_q-coordinates of x in the polynomial basis (a tuple of m codes)."""
-        return tuple(_digits(x, self.q, self.m))
-
-    def dlog(self, x):
-        """Discrete log base gamma (table fields only)."""
-        if x == 0:
-            raise ValueError("dlog of zero")
-        if not self.has_tables:
-            raise NotImplementedError("no tables for this field size")
-        return self.log[x]
-
     def elements(self):
         return range(self.order)
 
@@ -1014,8 +1001,8 @@ def expand_matrix(field, vector):
     Column j holds the coordinates of v_j in the fixed polynomial basis; the
     map is F_q-linear and invertible on its image.
     """
-    m = field.m
-    cols = [field.coords(v) for v in vector]
+    q, m = field.q, field.m
+    cols = [_digits(v, q, m) for v in vector]
     return [[col[i] for col in cols] for i in range(m)]
 
 

@@ -127,15 +127,6 @@ def subfield_subcode(spec):
     return AlternantCode(spec, kernel)
 
 
-def alternant_dimension_bounds(spec):
-    """(lower, upper) from Lemma-style bounds: n - m(n-k) and min(k, kopt)."""
-    from . import ilbounds
-    n, k, m = spec.n, spec.k, spec.field.m
-    lower = max(n - m * (n - k), 0)
-    upper = min(k, ilbounds.kopt(spec.field.q, n, spec.d))
-    return lower, upper
-
-
 # ---------------------------------------------------------------------------
 # MDS weight enumerators and summed subfield-subcode cardinalities
 

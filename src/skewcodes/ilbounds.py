@@ -62,6 +62,15 @@ def kopt(q, n, d, policy=KOPT_FULL):
                _griesmer_k(q, n, d), _plotkin_k(q, n, d))
 
 
+def alternant_dimension_bounds(spec):
+    """(lower, upper) on the dimension of the F_q-subfield subcode of the GRS
+    code spec, from Lemma-style bounds: n - m(n-k) and min(k, kopt)."""
+    n, k, m = spec.n, spec.k, spec.field.m
+    lower = max(n - m * (n - k), 0)
+    upper = min(k, kopt(spec.field.q, n, spec.d))
+    return lower, upper
+
+
 # ---------------------------------------------------------------------------
 # the convex-sum maximization helper
 
@@ -112,7 +121,9 @@ class BoundInputs:
         if self.d > self.n or self.t < 1:
             raise ValueError("need d <= n and t >= 1")
         if self.n > self.q ** self.m - 1:
-            raise ValueError("GRS needs n <= q^m - 1 nonzero locators")
+            raise ValueError(f"n = {self.n} exceeds q^m - 1 = "
+                             f"{self.q ** self.m - 1}, the number of "
+                             "nonzero locators")
 
 
 def _clamp01(x):

@@ -240,10 +240,7 @@ def rank_oracle(error, spec, s):
         return True
     rows = error.full_matrix(s, spec.n)
     syns = syndromes(field, rows, spec)
-    system = _key_system(syns, t)
-    if not system:
-        return False
-    return gf.rank(field, system) == t
+    return gf.rank(field, _key_system(syns, t)) == t
 
 
 def crux_oracle(error, spec, s):

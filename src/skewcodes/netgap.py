@@ -41,15 +41,13 @@ class CombNetParams:
     def theta(self):
         return self.alpha - (self.h - self.eps) // self.ell + 1
 
-    def f(self, t=None):
+    def f(self, t):
         """(alpha*ell + eps - h) eps t^2 + (alpha*ell + 2eps - h) t + 1."""
-        t = self.t if t is None else t
         a, l, e, h = self.alpha, self.ell, self.eps, self.h
         return (a * l + e - h) * e * t * t + (a * l + 2 * e - h) * t + 1
 
-    def g(self, t=None):
+    def g(self, t):
         """max(lt,(h-l)t) * (min(lt,(h-l)t) - (h-l-e)t + 1)."""
-        t = self.t if t is None else t
         lt, ht = self.ell * t, (self.h - self.ell) * t
         return max(lt, ht) * (min(lt, ht) - (self.h - self.ell - self.eps) * t + 1)
 
@@ -257,8 +255,6 @@ def min_qt_satisfying_necessary(params):
     Monotone in t for fixed q and in q for fixed t; scans prime powers up to
     the t = 1 threshold.
     """
-    p = params
-    best = None
     t1_threshold = 2
     while not _necessary_holds(params, t1_threshold, 1):
         t1_threshold = gf.next_prime_power(t1_threshold + 1)
@@ -295,18 +291,16 @@ def gap_bounds(params):
         if p.alpha * p.ell + 2 * p.eps - p.h == 0:
             raise ValueError("f(t) = 1 does not grow with t, so t_delta is "
                              "undefined")
-        qs_lb_log2 = qt_necessary_log2(params, 1)
         target = math.log2(p.r) - math.log2(p.beta)
         t_delta = 1
         while p.f(t_delta) / (p.alpha - 1) < target:
             t_delta += 1
     else:
-        qs_lb_log2 = qt_necessary_log2(params, 1)
         ratio = Fraction(p.r, p.alpha - 1)
         t_delta = 1
         while Fraction(2) ** p.g(t_delta) < ratio:
             t_delta += 1
-    gap_lb = qs_lb_log2 - t_delta
+    gap_lb = qt_necessary_log2(params, 1) - t_delta
     return {"gap_lb": gap_lb, "gap_ub": gap_ub, "t_A": t_a,
             "t_delta": t_delta, "A_log2": math.log2(a_value),
             "A_value": a_value}

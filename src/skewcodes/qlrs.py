@@ -179,9 +179,6 @@ def s_t_exhaustive(ell, r, t):
             for a in range(q) if hit >> a & 1}
 
 
-RECURSION_MATRIX = ((3, 1, 0), (1, 1, 1), (0, 0, 1))
-
-
 def min_valid_ell(r):
     """Smallest ell with r < q/2 = 2^(ell-1)."""
     ell = 1
@@ -240,12 +237,8 @@ def bad_star_bounds(params):
 # ---------------------------------------------------------------------------
 # the code as a block code of length q^2
 
-def evaluation_points(field):
-    return list(itertools.product(field.elements(), repeat=2))
-
-
 def _monomial_evaluations(field, monomials):
-    points = evaluation_points(field)
+    points = list(itertools.product(field.elements(), repeat=2))
     return [[field.mul(field.power(x, a), field.power(y, b))
              for x, y in points] for a, b in monomials]
 
@@ -295,7 +288,7 @@ def curves_through(field, point):
 
     Curve (alpha, beta) maps x to alpha x^2 + beta x + gamma0 with gamma0
     fixed by the point; the list holds the q - 1 cell indices at x != x0
-    in the row-major (x, y) indexing of evaluation_points.
+    in the row-major (x, y) indexing of the code's evaluation points.
     """
     x0, y0 = point
     q = field.order
@@ -323,8 +316,10 @@ def local_recover(params, word, erased, position):
     known coordinates, i.e. tolerates r - 1 erasures among the other points.
     Returns the value or None when every curve is blocked.
     """
+    q = params.q
+    # before the field: the guard needs only q, the field build takes seconds
+    _check_enumeration_guard(q * q * (q - 1), "q^2 (q - 1) curve cells")
     field = gf.field(2, params.ell, 1)
-    q = field.order
     x0, y0 = divmod(position, q)
     for cells in curves_through(field, (x0, y0)):
         known = [c for c in cells if c not in erased]
@@ -367,8 +362,10 @@ def simulate_local(params, tau, trials, rng):
     _check_tau(tau)
     if trials < 1:
         raise ValueError(f"trials = {trials} must be >= 1")
+    q = params.q
+    # before the field: the guard needs only q, the field build takes seconds
+    _check_enumeration_guard(q * q * (q - 1), "q^2 (q - 1) curve cells")
     field = gf.field(2, params.ell, 1)
-    q = field.order
     target = 0
     curves = curves_through(field, (0, 0))
     failures = 0

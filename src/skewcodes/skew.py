@@ -31,10 +31,6 @@ class SkewRing:
         f = self.field
         return f.sub(f.mul(self.beta, a), f.mul(self.theta(a), self.beta))
 
-    @property
-    def has_derivation(self):
-        return self.beta != 0
-
     def poly(self, coeffs):
         return SkewPolynomial(self, list(coeffs))
 
@@ -80,7 +76,7 @@ class SkewRing:
         Classes are determined by the field norm: a = gamma^e lies in
         C_sigma(gamma^(e mod (q-1))).
         """
-        if self.has_derivation or self.theta_power != 1 % self.field.m:
+        if self.beta or self.theta_power != 1 % self.field.m:
             raise ValueError("conjugacy classes implemented for the "
                              "Frobenius, zero-derivation case")
         if a == 0:
@@ -117,9 +113,6 @@ class SkewPolynomial:
     coeffs: list = dc_field(default_factory=list)
 
     def __post_init__(self):
-        self._trim()
-
-    def _trim(self):
         while self.coeffs and self.coeffs[-1] == 0:
             self.coeffs.pop()
 
@@ -151,12 +144,7 @@ class SkewPolynomial:
         return SkewPolynomial(self.ring, [f.add(x, y) for x, y in zip(a, b)])
 
     def __sub__(self, other):
-        self._check(other)
-        f = self.ring.field
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = self.coeffs + [0] * (n - len(self.coeffs))
-        b = other.coeffs + [0] * (n - len(other.coeffs))
-        return SkewPolynomial(self.ring, [f.sub(x, y) for x, y in zip(a, b)])
+        return self + -other
 
     def __neg__(self):
         f = self.ring.field

@@ -595,6 +595,30 @@ def test_lrs_shape_rejected_before_building_the_field(capsys, argv, named):
     assert named in err
 
 
+@pytest.mark.parametrize("argv, code, named", [
+    (["--seed", "8", "qlrs-local", "--ell", "172", "--r", "4", "--tau",
+      "0.9"], cli.EXIT_INFEASIBLE, "enumeration guard exceeded"),
+    (["--seed", "1", "il-sim", "--q", "7", "--m", "172", "--n", "10", "--d",
+      "3", "--s", "-1", "--trials", "1"], cli.EXIT_INFEASIBLE, "s = -1"),
+    (["--seed", "1", "il-sim", "--q", "7", "--m", "172", "--n", "10", "--d",
+      "3", "--s", "2", "--trials", "0"], cli.EXIT_INFEASIBLE,
+     "trial count must be >= 1"),
+    (["il-sim", "--q", "7", "--m", "172", "--n", "10", "--d", "3", "--s",
+      "2"], cli.EXIT_USAGE, "--seed is required"),
+], ids=["qlrs-local", "il-sim-s", "il-sim-trials", "il-sim-seed"])
+def test_field_free_arguments_rejected_before_any_field(monkeypatch, capsys,
+                                                       argv, code, named):
+    # each used to build GF(2^172) (about 3 s) or try to build GF(7^172)
+    # (about 15 s, failing to factor 7^172 - 1) before the refusing check
+    def no_field(*args):
+        raise AssertionError("a field was built before the checks")
+    monkeypatch.setattr(gf, "field", no_field)
+    assert cli.main(argv) == code
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert named in err
+
+
 def test_module_entry_point():
     proc = run_cli(["support-check", "--n", "3", "--zeros", "1; 2"])
     assert proc.returncode == 0

@@ -1,10 +1,13 @@
 """Cross-module and edge-case checks beyond the per-module suites."""
 
+import ast
 import itertools
+import pathlib
 import random
 
 import pytest
 
+import skewcodes
 from skewcodes import bench, gf, grscode, ildec, lrs, metric, skew, support
 
 
@@ -205,3 +208,17 @@ def test_decode_with_true_codewords_and_errors_end_to_end():
             else verdict)   # oracle success forces decoder success
         if verdict == ildec.SUCCESS:
             assert out.decoded == rows
+
+
+def test_src_imports_only_at_module_level():
+    # an import inside a function hid the grscode -> ilbounds -> grscode
+    # cycle; imports at the top keep the module graph in plain sight
+    nested = set()
+    for path in pathlib.Path(skewcodes.__file__).parent.glob("*.py"):
+        for scope in ast.walk(ast.parse(path.read_text())):
+            if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                nested |= {f"{path.name}:{node.lineno}"
+                           for node in ast.walk(scope)
+                           if isinstance(node, (ast.Import, ast.ImportFrom))}
+    assert nested == set()

@@ -1,7 +1,7 @@
 import itertools
 import random
 
-from skewcodes import gf, grscode, metric
+from skewcodes import gf, grscode, ilbounds, metric
 
 F4 = gf.field(2, 1, 2)
 F16 = gf.field(2, 2, 2)      # q = 4, m = 2
@@ -58,7 +58,7 @@ def test_subfield_subcode_annihilation_and_bounds():
         mults = [F16.random_nonzero(rng) for _ in range(n)]
         spec = grscode.GrsSpec(F16, locs, mults, d)
         alt = grscode.subfield_subcode(spec)
-        lower, upper = grscode.alternant_dimension_bounds(spec)
+        lower, upper = ilbounds.alternant_dimension_bounds(spec)
         assert lower <= alt.dimension <= upper
         expanded = grscode.expanded_parity_check(spec)
         for vec in alt.generator:
