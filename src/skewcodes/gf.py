@@ -14,7 +14,11 @@ is F_p-linear on codes, so each step is a few table lookups over chunks of
 the code's base-p digits.  In characteristic 2 that is two lookups over the
 low and high halves joined by XOR; otherwise the walk keeps the chunks lo,
 mid and top (top is the extra digit of an odd dim) and sums each one through
-a shared digit-wise sum table.  Larger fields fall back to polynomial
+a shared digit-wise sum table.  A table of at most 2^16 entries is a list,
+a longer one a 4-byte buffer (_table): a list entry costs a pointer and an
+int object, about 36 bytes (80 MiB for the two tables of GF(4^10)), but
+CPython specialises list[int] reads and not buffer reads, which pays on the
+small fields of the decoding kernels.  Larger fields fall back to polynomial
 arithmetic over the level below, with inverses by the norm (Itoh & Tsujii,
 Inf. Comput. 78, 1988) and the Frobenius as an F_p-linear map on the
 digits, summed from tables of the images of digit chunks (Field._linear_map).
@@ -78,8 +82,17 @@ import math
 import operator
 
 TABLE_LIMIT = 1 << 20
+_LIST_LIMIT = 1 << 16       # longest table kept as a list, see _table
 _SPREAD_LIMIT = 1 << 10     # entries of a _digit_map chunk table
 _RABIN_TESTS = 1 << 17      # per modulus search; GF(256^4) needs 65,545
+
+
+def _table(n):
+    """n zero ints: a list up to _LIST_LIMIT entries, else a 4-byte buffer
+    (the module docstring says why)."""
+    if n <= _LIST_LIMIT:
+        return [0] * n
+    return memoryview(bytearray(4 * n)).cast("i")
 
 
 # ---------------------------------------------------------------------------
@@ -505,9 +518,10 @@ def _zech_ops(p, exp, log):
     """Table fields of odd characteristic: addition by Zech logarithms.
 
     With Z[k] = log(1 + gamma^k), gamma^a + gamma^b = gamma^(a + Z[b - a]).
-    -1 = gamma^(n1/2), so Z[n1/2] is the sentinel None: x + (-x) = 0.
+    -1 = gamma^(n1/2), so Z[n1/2] is the sentinel -1: x + (-x) = 0; a
+    buffer cannot hold None, so both storages of _table share it.
     1 + gamma^k adds 1 to the lowest base-p digit of the code gamma^k.  The
-    list Z has one entry per nonzero element; it is filled on the first
+    table Z has one entry per nonzero element; it is filled on the first
     add or axpy, so building a field and multiplying in it never pays for
     it.
     A difference of two logs lies in (-n1, n1), and a negative index reads
@@ -519,8 +533,10 @@ def _zech_ops(p, exp, log):
 
     def fill():     # Z is published whole, never without its sentinel
         nonlocal zech
-        z = [log[e + 1 if e % p != p - 1 else e + 1 - p] for e in exp]
-        z[half] = None
+        z = _table(n1)
+        for k, e in enumerate(exp):
+            z[k] = log[e + 1 if e % p != p - 1 else e + 1 - p]
+        z[half] = -1
         zech = z
 
     def add(x, y):
@@ -532,7 +548,7 @@ def _zech_ops(p, exp, log):
             fill()
         lx = log[x]
         z = zech[log[y] - lx]
-        return 0 if z is None else exp[(lx + z) % n1]
+        return 0 if z < 0 else exp[(lx + z) % n1]
 
     def neg(x):
         return exp[(log[x] + half) % n1] if x else 0
@@ -554,7 +570,7 @@ def _zech_ops(p, exp, log):
                 if d:
                     ld = log[d]
                     z = zech[lt - ld]
-                    dst[j] = 0 if z is None else exp[(ld + z) % n1]
+                    dst[j] = 0 if z < 0 else exp[(ld + z) % n1]
                 else:
                     dst[j] = exp[lt]
 
@@ -648,10 +664,13 @@ class Field:
         self.dim = (base.dim if base else 1) * m    # the dimension over F_p
         self.order = p ** self.dim
         self.has_tables = self.order <= TABLE_LIMIT
+        # factored first: an order - 1 that cannot be factored refuses the
+        # field before the modulus search
+        factors = factorize(self.order - 1)
         self.modulus = self._find_modulus() if base else None
         self._poly_mul, mat_mul = (_mulmod(base, m, self.modulus) if base
                                    else (lambda x, y: x * y % p, None))
-        self.gamma = self._find_gamma()
+        self.gamma = self._find_gamma(factors)
         if self.has_tables:
             self._build_tables()
         self.basis = tuple(self.q ** i for i in range(m))
@@ -691,16 +710,20 @@ class Field:
         nonzero coefficients sit at degrees divisible by p is g(z^p) = g'(z)^p,
         skipped untested; a ValueError when _RABIN_TESTS tests find none."""
         p, q, m = self.p, self.q, self.m
-        tests = 0
-        for code in range(q ** m):
+        code, tests = 0, 0
+        while code < q ** m:
             f = _digits(code, q, m) + [1]
             if not any(c for i, c in enumerate(f) if i % p):
+                # the q codes of a block differ only at degree 0, which
+                # p divides, so the whole block is skipped
+                code += q - code % q
                 continue
             if _irreducible(self.base, f):
                 return tuple(f)
             tests += 1
             if tests == _RABIN_TESTS:
                 break
+            code += 1
         raise ValueError(f"no irreducible polynomial of degree {m} over "
                          f"GF({q}) in {_RABIN_TESTS} Rabin tests, so "
                          f"GF({q}^{m}) cannot be built")
@@ -708,11 +731,11 @@ class Field:
     def _poly_pow(self, x, n):
         return _pow(self._poly_mul, x, n)
 
-    def _find_gamma(self):
-        """The first code of full order q^m - 1.  For m > 1 the search starts
-        at q: the codes below it are F_q, whose orders divide q - 1."""
+    def _find_gamma(self, factors):
+        """The first code of full order q^m - 1, whose prime factors are the
+        keys of factors.  For m > 1 the search starts at q: the codes below
+        it are F_q, whose orders divide q - 1."""
         n1 = self.order - 1
-        factors = list(factorize(n1)) if n1 > 1 else []
         for cand in range(self.q if self.m > 1 else 2, self.order):
             if all(self._poly_pow(cand, n1 // r) != 1 for r in factors):
                 return cand
@@ -755,8 +778,8 @@ class Field:
         # lo_part[lo] + hi_part[hi]: in characteristic 2 two lookups and one
         # XOR, otherwise one sum-table lookup per chunk (see the odd-p branch).
         n1, p, dim, g = self.order - 1, self.p, self.dim, self.gamma
-        self.exp = exp = [0] * n1
-        self.log = log = [0] * self.order
+        self.exp = exp = _table(n1)
+        self.log = log = _table(self.order)
         if dim == 1:
             x = 1
             for i in range(n1):

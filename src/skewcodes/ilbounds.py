@@ -118,8 +118,11 @@ class BoundInputs:
             raise ValueError(f"designed distance d = {self.d} must be >= 1")
         if self.s < 1:
             raise ValueError(f"interleaving order s = {self.s} must be >= 1")
-        if self.d > self.n or self.t < 1:
-            raise ValueError("need d <= n and t >= 1")
+        if self.d > self.n:
+            raise ValueError(f"designed distance d = {self.d} exceeds the "
+                             f"length n = {self.n}")
+        if self.t < 1:
+            raise ValueError(f"number of errors t = {self.t} must be >= 1")
         if self.n > self.q ** self.m - 1:
             raise ValueError(f"n = {self.n} exceeds q^m - 1 = "
                              f"{self.q ** self.m - 1}, the number of "

@@ -303,7 +303,8 @@ def test_il_bounds_csv(tmp_path):
     (["--m", "8", "--q", "2", "--d", "-4"], "d = -4 must be >= 1"),
     (["--m", "0", "--q", "2", "--d", "5"], "m = 0 must be >= 1"),
     (["--m", "-1", "--q", "2", "--d", "5"], "m = -1 must be >= 1"),
-], ids=["q-6", "d-0", "d-4", "m-0", "m-1"])
+    (["--m", "5", "--q", "2", "--d", "31"], "d = 31 exceeds the length n = 30"),
+], ids=["q-6", "d-0", "d-4", "m-0", "m-1", "d-31"])
 def test_il_bounds_rejects_impossible_inputs(capsys, extra, bad):
     # the first three used to exit 0: numbers for GF(6), the row
     # "1,,,,,0,," for d = 0 and a bare header for d = -4; m <= 0 used to

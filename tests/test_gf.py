@@ -3,6 +3,7 @@ import functools
 import hashlib
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -259,6 +260,75 @@ def test_no_table_field_matches_table_field(monkeypatch):
                 assert small.power(a, 7) == poly.power(a, 7)
 
 
+def test_buffer_tables_match_list_tables(monkeypatch):
+    # with the list limit at 1 every table is a 4-byte buffer, as in fields
+    # above 2^16 elements; each op agrees with the list-table field on
+    # every element or pair, x + (-x) = 0 (the Zech sentinel) included
+    for p, e, m in ((2, 1, 4), (2, 2, 2), (3, 1, 4), (5, 1, 2), (3, 2, 2)):
+        small = gf.field(p, e, m)
+        els = list(small.elements())
+        with monkeypatch.context() as patch:
+            patch.setattr(gf, "_LIST_LIMIT", 1)
+            buf = gf.Field(p, m, small.base)
+            assert isinstance(buf.exp, memoryview)
+            assert list(buf.exp) == small.exp
+            assert list(buf.log) == small.log
+            for a in els:
+                assert buf.neg(a) == small.neg(a)
+                assert buf.add(a, buf.neg(a)) == 0
+                assert buf.power(a, 5) == small.power(a, 5)
+                if a:
+                    assert buf.inv(a) == small.inv(a)
+                    assert buf.power(a, -3) == small.power(a, -3)
+                    for j in range(1, m + 1):
+                        assert buf.frob(a, j) == small.frob(a, j)
+                for b in els:
+                    assert buf.add(a, b) == small.add(a, b)
+                    assert buf.sub(a, b) == small.sub(a, b)
+                    assert buf.mul(a, b) == small.mul(a, b)
+            rng = random.Random(p * m)
+            for f in els:
+                for dst in ([rng.choice(els) for _ in els],
+                            [small.neg(small.mul(f, y)) for y in els]):
+                    for start in (0, len(els) // 2):
+                        want, got = list(dst), list(dst)
+                        small.axpy(want, f, els, start)
+                        buf.axpy(got, f, els, start)
+                        assert got == want
+
+
+@pytest.mark.parametrize("p, m, per_element", [(2, 17, 16), (5, 7, 16),
+                                                (7, 6, 24)])
+def test_large_tables_traced_peak_per_element(p, m, per_element):
+    # tables as lists cost 80-84 traced bytes per element: a pointer and an
+    # int object per entry of exp and log; as 4-byte buffers 8 bytes, plus
+    # the temporaries of the gamma-walk (8.2 bytes per element on GF(2^17),
+    # 11.2 on GF(5^7)).  In odd characteristic the walk's digit-wise sum
+    # table holds p^(2 * (dim // 2)) list entries, one pointer per element
+    # when dim is even, so GF(7^6) peaks at 17.4
+    base = gf.Field(p)
+    tracemalloc.start()
+    try:
+        fld = gf.Field(p, m, base)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < per_element * fld.order
+    assert fld.order > gf._LIST_LIMIT
+
+
+def test_order_factored_before_modulus_search(monkeypatch):
+    # 7^172 - 1 needs more Pollard-Brent steps than one factorization may
+    # spend, so GF(7^172) is refused, and the modulus search it needs no
+    # longer runs first (5 s); few steps keep the refusal quick here
+    base = gf.Field(7)
+    monkeypatch.setattr(gf, "_RHO_STEPS", 1 << 10)
+    monkeypatch.setattr(gf.Field, "_find_modulus",
+                        lambda self: pytest.fail("modulus searched"))
+    with pytest.raises(ValueError, match="cannot be factored"):
+        gf.Field(7, 172, base)
+
+
 def test_factorize_matches_trial_division():
     # below 10^5 every path runs: trial division by the Miller-Rabin bases,
     # Miller-Rabin itself and Pollard-Brent splits of products of primes > 41
@@ -365,14 +435,17 @@ def test_rabin_on_codes_matches_list_oracle(F, top):
 # without tables, recorded with the list-based Rabin test (6.4, 2.1, 4.0,
 # 0.4 and 1.1 s to build with it).  GF((2^14)^2) is a tower whose gamma
 # search walked F_q; the modulus searches of GF(64^4) and GF(16^8) run 4,098
-# and 3,859 Rabin tests, because every z^m + a z + b is reducible there
+# and 3,859 Rabin tests, because every z^m + a z + b is reducible there.
+# GF((2^21)^2) was recorded while its modulus search still stepped over the
+# 2^21 squares z^2 + b one code at a time (3.3 s to build)
 @pytest.mark.parametrize("key, low, gamma", [
     ((2, 1, 100), {0: 1, 2: 1, 5: 1, 6: 1}, 7),
     ((7, 1, 23), {0: 5, 1: 1, 2: 3}, 9),
     ((2, 14, 2), {0: 512, 1: 1}, 16392),
     ((2, 6, 4), {0: 1, 1: 2, 2: 1}, 67),
-    ((2, 4, 8), {0: 2, 1: 1, 3: 1}, 16)],
-    ids=["2^100", "7^23", "(2^14)^2", "64^4", "16^8"])
+    ((2, 4, 8), {0: 2, 1: 1, 3: 1}, 16),
+    ((2, 21, 2), {0: 1, 1: 1}, 2097158)],
+    ids=["2^100", "7^23", "(2^14)^2", "64^4", "16^8", "(2^21)^2"])
 def test_large_field_modulus_and_gamma_pinned(key, low, gamma):
     fld = gf.field(*key)
     assert not fld.has_tables

@@ -225,3 +225,15 @@ def test_bound_names_one_value():
         assert ilbounds.bound(name, inp) == vals[name]
     with pytest.raises(ValueError, match="unknown bound 'L.B'"):
         ilbounds.bound("L.B", inp)
+
+
+@pytest.mark.parametrize("n, d, t, message", [
+    (10, 11, 1, "designed distance d = 11 exceeds the length n = 10"),
+    (0, 5, 1, "designed distance d = 5 exceeds the length n = 0"),
+    (31, 11, 0, "number of errors t = 0 must be >= 1"),
+    (31, 11, -2, "number of errors t = -2 must be >= 1")])
+def test_bound_inputs_name_d_against_n_and_t(n, d, t, message):
+    # one check used to refuse both as "need d <= n and t >= 1", naming t
+    # where the caller passed no t
+    with pytest.raises(ValueError, match=message):
+        ilbounds.BoundInputs(q=2, m=5, n=n, d=d, s=3, t=t)
