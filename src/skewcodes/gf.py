@@ -17,15 +17,16 @@ mid and top (top is the extra digit of an odd dim) and sums each one through
 a shared digit-wise sum table.  A table of at most 2^16 entries is a list,
 a longer one a 4-byte buffer (_table): a list entry costs a pointer and an
 int object, about 36 bytes (80 MiB for the two tables of GF(4^10)), but
-CPython specialises list[int] reads and not buffer reads, which pays on the
-small fields of the decoding kernels.  Larger fields fall back to polynomial
-arithmetic over the level below, with inverses by the norm (Itoh & Tsujii,
-Inf. Comput. 78, 1988) and the Frobenius as an F_p-linear map on the
-digits, summed from tables of the images of digit chunks (Field._linear_map).
+CPython specialises list[int] reads and not buffer reads, which pays in the
+table kernels.  Larger fields fall back to polynomial arithmetic over the
+level below, with inverses by the norm (Itoh & Tsujii, Inf. Comput. 78,
+1988) and the Frobenius as an F_p-linear map on the digits, summed from
+tables of the images of digit chunks (Field._linear_map).
 
 Multiplication, by field family:
   - fields of dimension 1 over F_p (prime fields and degree-1 extensions
     of them): the product mod p;
+  - other fields up to 2^8 elements: one product table lookup, MUL[x][y];
   - other fields up to 2^20 elements: one log/antilog table lookup;
   - larger extensions of GF(2): a carry-less product of the bit codes,
     reduced by the modulus;
@@ -40,7 +41,9 @@ search use them, and so do the Frobenius maps of fields without tables.
 Addition, by field family:
   - fields of dimension 1 over F_p: the sum mod p;
   - other fields of characteristic 2: XOR of the codes;
-  - odd-characteristic fields with tables: Zech logarithms (Huber, IEEE
+  - odd-characteristic fields up to 2^8 elements: one sum table lookup,
+    ADD[x][y], the digit-wise sum table of _digit_add_table; see _small_ops;
+  - other odd-characteristic fields with tables: Zech logarithms (Huber, IEEE
     T-IT 36(4), 1990), gamma^a + gamma^b = gamma^(a + Z[b - a]) with
     Z[k] = log(1 + gamma^k), a few table reads; see _zech_ops;
   - odd-characteristic fields without tables: digit-wise sums mod p.
@@ -48,16 +51,20 @@ Field._bind_ops binds each family's add, sub, neg and mul once, as closures
 on the instance; they are the only definitions of these ops, and deleting
 one (as a wrapper that counts calls does when it is removed) binds the same
 closure again.  Each family also has one row kernel, axpy(dst, f, src,
-start), which adds f * src[j] to dst[j] for j >= start in place: with
-tables it takes log f once and reads exp[(log f + log src[j]) % (order - 1)]
-per cell, joined to dst[j] by XOR or by Zech.  span does its row updates
-with it, and so does the one elimination loop, echelon, which inserts rows
-one at a time into an echelon basis: rank is the size of the basis, rref
-clears each pivot column from the basis rows inserted before it, and the
-AAD coset reducer reduces by the basis as it is.  mat_mul makes one axpy
-per nonzero entry, except on the Kronecker fields (odd prime base, no
-tables), whose own mat_mul closure sums the unreduced products of each
-output entry and reduces once; see _kronecker.
+start), which adds f * src[j] to dst[j] for j >= start in place: up to 2^8
+elements it takes the row MUL[f] once and reads MUL[f][src[j]] per cell,
+joined to dst[j] by XOR or by one ADD lookup (full product tables up to
+w = 8 bits and log tables above is the split of GF-Complete: Plank,
+Greenan & Miller, FAST 2013); with larger tables it takes log f once and
+reads exp[(log f + log src[j]) % (order - 1)] per cell, joined to dst[j]
+by XOR or by Zech.  span does its row updates with it, and so does the one
+elimination loop, echelon, which inserts rows one at a time into an
+echelon basis: rank is the size of the basis, rref clears each pivot
+column from the basis rows inserted before it, and the AAD coset reducer
+reduces by the basis as it is.  mat_mul makes one axpy per nonzero entry,
+except on the Kronecker fields (odd prime base, no tables), whose own
+mat_mul closure sums the unreduced products of each output entry and
+reduces once; see _kronecker.
 
 Element codes are plain ints: an element sum(c_i * z^i) with c_i in F_q is
 encoded as sum(code(c_i) * q^i), and a base-field element sum(b_j * x^j) with
@@ -83,6 +90,7 @@ import operator
 
 TABLE_LIMIT = 1 << 20
 _LIST_LIMIT = 1 << 16       # longest table kept as a list, see _table
+_SMALL_LIMIT = 1 << 8       # largest field with product tables, _small_ops
 _SPREAD_LIMIT = 1 << 10     # entries of a _digit_map chunk table
 _RABIN_TESTS = 1 << 17      # per modulus search; GF(256^4) needs 65,545
 
@@ -499,7 +507,8 @@ def _table_mul(exp, log):
 
 
 def _xor_table_ops(exp, log):
-    """Table fields of characteristic 2: addition is XOR."""
+    """Table fields of characteristic 2 above _SMALL_LIMIT elements:
+    addition is XOR."""
     n1 = len(exp)
 
     def axpy(dst, f, src, start=0):
@@ -515,7 +524,8 @@ def _xor_table_ops(exp, log):
 
 
 def _zech_ops(p, exp, log):
-    """Table fields of odd characteristic: addition by Zech logarithms.
+    """Table fields of odd characteristic above _SMALL_LIMIT elements:
+    addition by Zech logarithms.
 
     With Z[k] = log(1 + gamma^k), gamma^a + gamma^b = gamma^(a + Z[b - a]).
     -1 = gamma^(n1/2), so Z[n1/2] is the sentinel -1: x + (-x) = 0; a
@@ -576,6 +586,57 @@ def _zech_ops(p, exp, log):
 
     return {"add": add, "sub": sub, "neg": neg, "mul": _table_mul(exp, log),
             "axpy": axpy}
+
+
+def _small_ops(p, dim, exp, log):
+    """Table fields of dim > 1 and at most _SMALL_LIMIT elements: one lookup
+    per op.
+
+    MUL[x][y] = x * y, read off the log tables once; in odd characteristic
+    ADD[x][y] = x + y is the digit-wise sum table and NEG[x] = -x.  Every
+    entry is one of CPython's cached small ints, so an entry costs one
+    pointer (512 KiB for MUL of GF(256)).  axpy reads the row MUL[f] once
+    and then makes one lookup per cell.
+    """
+    n1 = len(exp)
+    # row x is exp rotated by log x, read at log y for y = 1, 2, ...
+    exp2, at_logs = list(exp) * 2, operator.itemgetter(*log[1:])
+    MUL = [[0] * (n1 + 1)] + [[0, *at_logs(exp2[lx:lx + n1])]
+                              for lx in log[1:]]
+
+    def mul(x, y):
+        return MUL[x][y]
+
+    if p == 2:
+        def axpy(dst, f, src, start=0):
+            mf = MUL[f]
+            for j in range(start, len(src)):
+                y = src[j]
+                if y:
+                    dst[j] ^= mf[y]
+
+        return {"add": operator.xor, "sub": operator.xor, "neg": _same,
+                "mul": mul, "axpy": axpy}
+    ADD = _digit_add_table(p, dim)
+    NEG = [row.index(0) for row in ADD]
+
+    def add(x, y):
+        return ADD[x][y]
+
+    def sub(x, y):
+        return ADD[x][NEG[y]]
+
+    def neg(x):
+        return NEG[x]
+
+    def axpy(dst, f, src, start=0):
+        mf = MUL[f]
+        for j in range(start, len(src)):
+            y = src[j]
+            if y:
+                dst[j] = ADD[dst[j]][mf[y]]
+
+    return {"add": add, "sub": sub, "neg": neg, "mul": mul, "axpy": axpy}
 
 
 def _no_table_ops(fld):
@@ -689,6 +750,8 @@ class Field:
             ops = _no_table_ops(self)
             if mat_mul is not None:
                 ops["mat_mul"] = mat_mul
+        elif self.order <= _SMALL_LIMIT:
+            ops = _small_ops(self.p, self.dim, self.exp, self.log)
         elif self.p == 2:
             ops = _xor_table_ops(self.exp, self.log)
         else:
@@ -708,9 +771,13 @@ class Field:
     def _find_modulus(self):
         """The first monic irreducible of degree m in code order.  An f whose
         nonzero coefficients sit at degrees divisible by p is g(z^p) = g'(z)^p,
-        skipped untested; a ValueError when _RABIN_TESTS tests find none."""
+        skipped untested; a ValueError when _RABIN_TESTS tests find none.
+        The codes below q are the binomials z^m + b, all reducible when a
+        prime r | m does not divide q - 1 (Lidl & Niederreiter, Finite
+        Fields, Thm 3.75), so the search then starts at q."""
         p, q, m = self.p, self.q, self.m
-        code, tests = 0, 0
+        code = q if any((q - 1) % r for r in factorize(m)) else 0
+        tests = 0
         while code < q ** m:
             f = _digits(code, q, m) + [1]
             if not any(c for i, c in enumerate(f) if i % p):

@@ -538,17 +538,17 @@ def test_config_file_rejects_unknown_keys_and_flags(tmp_path, capsys, key,
 
 def test_lrs_gen_refuses_a_field_without_a_modulus_in_budget(capsys,
                                                            monkeypatch):
-    # GF(2^21) has no irreducible z^3 + b, and the modulus search gives up
-    # after its Rabin-test budget instead of walking 2^21 candidates; the
-    # budget is lowered from 2^17 tests (about 25 s here) to keep this quick
+    # GF(256) has no irreducible z^4 + a z + b, and the modulus search gives
+    # up after its Rabin-test budget instead of walking 2^16 candidates; the
+    # budget is lowered from 2^17 tests to keep this quick
     monkeypatch.setattr(gf, "_RABIN_TESTS", 1024)
-    code = cli.main(["lrs-gen", "--q", "2097152", "--m", "3",
+    code = cli.main(["lrs-gen", "--q", "256", "--m", "4",
                      "--lengths", "3", "--k", "1"])
     assert code == cli.EXIT_INFEASIBLE
     out, err = capsys.readouterr()
     assert out == ""
-    assert "degree 3 over GF(2097152)" in err
-    assert "GF(2097152^3) cannot be built" in err
+    assert "degree 4 over GF(256)" in err
+    assert "GF(256^4) cannot be built" in err
 
 
 def test_il_sim_and_il_bounds_reject_bad_s_and_n(capsys):

@@ -167,9 +167,11 @@ def test_rank_matches_minor_oracle():
             assert gf.rank(fld, rows) == rank_bruteforce(fld, rows)
 
 
-# a prime field, char-2 and odd tables, and no tables (odd and char 2)
+# a prime field, char-2 and odd product tables, char-2 log tables, Zech
+# tables, and no tables (odd and char 2)
 RANK_FIELDS = (gf.field(7, 1, 1), gf.field(2, 1, 4), gf.field(3, 1, 3),
-               gf.field(7, 1, 11), gf.field(2, 1, 33))
+               gf.field(2, 1, 9), gf.field(3, 1, 6), gf.field(7, 1, 11),
+               gf.field(2, 1, 33))
 
 
 @settings(max_examples=300)
@@ -262,14 +264,18 @@ def test_no_table_field_matches_table_field(monkeypatch):
 
 def test_buffer_tables_match_list_tables(monkeypatch):
     # with the list limit at 1 every table is a 4-byte buffer, as in fields
-    # above 2^16 elements; each op agrees with the list-table field on
+    # above 2^16 elements, and with the small-field limit at 1 the XOR/log
+    # and Zech ops run on them; each op agrees with the list-table field on
     # every element or pair, x + (-x) = 0 (the Zech sentinel) included
     for p, e, m in ((2, 1, 4), (2, 2, 2), (3, 1, 4), (5, 1, 2), (3, 2, 2)):
         small = gf.field(p, e, m)
         els = list(small.elements())
         with monkeypatch.context() as patch:
             patch.setattr(gf, "_LIST_LIMIT", 1)
+            patch.setattr(gf, "_SMALL_LIMIT", 1)
             buf = gf.Field(p, m, small.base)
+            assert _family(buf) == ("_xor_table_ops" if p == 2
+                                    else "_zech_ops")
             assert isinstance(buf.exp, memoryview)
             assert list(buf.exp) == small.exp
             assert list(buf.log) == small.log
@@ -295,6 +301,73 @@ def test_buffer_tables_match_list_tables(monkeypatch):
                         small.axpy(want, f, els, start)
                         buf.axpy(got, f, els, start)
                         assert got == want
+
+
+def _family(fld):
+    """The closure family that Field._bind_ops bound on fld."""
+    return fld._ops["axpy"].__qualname__.split(".")[0]
+
+
+@pytest.mark.parametrize("key, family", [
+    ((7, 1, 1), "_prime_ops"), ((3, 1, 5), "_small_ops"),
+    ((2, 1, 8), "_small_ops"), ((2, 2, 4), "_small_ops"),
+    ((2, 1, 9), "_xor_table_ops"), ((3, 1, 6), "_zech_ops"),
+    ((7, 1, 11), "_no_table_ops")])
+def test_bind_ops_picks_family_by_order(key, family):
+    assert _family(gf.field(*key)) == family
+
+
+# every field of dim > 1 and at most 2^8 elements: each field with the
+# small-field limit at 1, so that it binds the XOR/log or Zech closures, is
+# the oracle of its product and sum tables
+SMALL_FIELDS = ((2, 1, 2), (2, 1, 3), (3, 1, 2), (2, 1, 4), (5, 1, 2),
+                (2, 2, 3), (3, 1, 4), (5, 1, 3), (3, 1, 5), (2, 1, 8))
+
+
+@pytest.mark.parametrize("key", SMALL_FIELDS, ids=str)
+def test_small_ops_match_log_and_zech_ops(monkeypatch, key):
+    p, e, m = key
+    small = gf.field(p, e, m)
+    with monkeypatch.context() as patch:
+        patch.setattr(gf, "_SMALL_LIMIT", 1)
+        old = gf.Field(p, m, small.base)
+    assert _family(small) == "_small_ops"
+    assert _family(old) == ("_xor_table_ops" if p == 2 else "_zech_ops")
+    els = list(small.elements())
+    for a in els:
+        assert small.neg(a) == old.neg(a)
+        for op in ("add", "sub", "mul"):
+            mine, want = getattr(small, op), getattr(old, op)
+            assert [mine(a, b) for b in els] == [want(a, b) for b in els]
+    # src holds every element once; dst is random, longer than src, or
+    # cancels f * src to zero from the first cell
+    rng = random.Random(small.order)
+    src = rng.sample(els, len(els))
+    for f in els:
+        cancel = [old.neg(old.mul(f, y)) for y in src]
+        for dst in ([rng.choice(els) for _ in src],
+                    [rng.choice(els) for _ in range(len(src) + 3)], cancel):
+            for start in (0, 1, len(src) // 2):
+                want, got = list(dst), list(dst)
+                old.axpy(want, f, src, start)
+                small.axpy(got, f, src, start)
+                assert got == want
+                if dst is cancel:
+                    assert not any(got[start:])
+
+
+def test_small_tables_hold_cached_ints():
+    # the 2^16 entries of GF(2^8)'s product table are CPython's cached small
+    # ints, so each costs one 8-byte pointer (512 KiB in all); an int object
+    # per entry would add 28 bytes each
+    tracemalloc.start()
+    try:
+        fld = gf.Field(2, 8, gf.Field(2))
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert _family(fld) == "_small_ops"
+    assert retained < 600 * 1024
 
 
 @pytest.mark.parametrize("p, m, per_element", [(2, 17, 16), (5, 7, 16),
@@ -437,15 +510,19 @@ def test_rabin_on_codes_matches_list_oracle(F, top):
 # search walked F_q; the modulus searches of GF(64^4) and GF(16^8) run 4,098
 # and 3,859 Rabin tests, because every z^m + a z + b is reducible there.
 # GF((2^21)^2) was recorded while its modulus search still stepped over the
-# 2^21 squares z^2 + b one code at a time (3.3 s to build)
+# 2^21 squares z^2 + b one code at a time (3.3 s to build).  GF((2^21)^3)
+# builds since the search skips the binomials z^3 + b, all reducible there
+# (it was refused after 2^17 Rabin tests before)
 @pytest.mark.parametrize("key, low, gamma", [
     ((2, 1, 100), {0: 1, 2: 1, 5: 1, 6: 1}, 7),
     ((7, 1, 23), {0: 5, 1: 1, 2: 3}, 9),
     ((2, 14, 2), {0: 512, 1: 1}, 16392),
     ((2, 6, 4), {0: 1, 1: 2, 2: 1}, 67),
     ((2, 4, 8), {0: 2, 1: 1, 3: 1}, 16),
-    ((2, 21, 2), {0: 1, 1: 1}, 2097158)],
-    ids=["2^100", "7^23", "(2^14)^2", "64^4", "16^8", "(2^21)^2"])
+    ((2, 21, 2), {0: 1, 1: 1}, 2097158),
+    ((2, 21, 3), {0: 11, 1: 1}, 2097152)],
+    ids=["2^100", "7^23", "(2^14)^2", "64^4", "16^8", "(2^21)^2",
+         "(2^21)^3"])
 def test_large_field_modulus_and_gamma_pinned(key, low, gamma):
     fld = gf.field(*key)
     assert not fld.has_tables
@@ -457,9 +534,8 @@ def test_large_field_modulus_and_gamma_pinned(key, low, gamma):
 
 
 def test_modulus_search_refused_after_rabin_budget(monkeypatch):
-    # GF(2^8) takes 20 Rabin tests.  Over GF(2^21) every z^3 + b is
-    # reducible (cubing is onto when 3 does not divide q - 1), so the first
-    # 2^21 candidates all fail; a smaller budget than _RABIN_TESTS keeps the
+    # GF(2^8) takes 20 Rabin tests, and GF(256^4) 65,545: every z^4 + a z + b
+    # is reducible there; a smaller budget than _RABIN_TESTS keeps the
     # refusal quick here
     monkeypatch.setattr(gf, "_RABIN_TESTS", 19)
     with pytest.raises(ValueError, match="degree 8 over GF\\(2\\) in 19"):
@@ -468,8 +544,27 @@ def test_modulus_search_refused_after_rabin_budget(monkeypatch):
     assert gf.Field(2, 8, gf.Field(2)).modulus == gf.field(2, 1, 8).modulus
     monkeypatch.setattr(gf, "_RABIN_TESTS", 1024)
     with pytest.raises(ValueError,
-                       match="degree 3 over GF\\(2097152\\) in 1024 Rabin"):
-        gf.field_q(2 ** 21, 3)
+                       match="degree 4 over GF\\(256\\) in 1024 Rabin"):
+        gf.field_q(256, 4)
+
+
+def test_skipped_binomials_are_reducible():
+    # the modulus search skips every z^m + b over GF(q) when a prime r | m
+    # does not divide q - 1 (Lidl & Niederreiter, Thm 3.75); Rabin's test
+    # finds each of them reducible for q <= 32 and m <= 6
+    skipped = 0
+    for q in range(2, 33):
+        if gf.prime_power(q) is None:
+            continue
+        p, e = gf.prime_power(q)
+        F = gf.field(p, 1, e)
+        for m in range(2, 7):
+            if all((q - 1) % r == 0 for r in gf.factorize(m)):
+                continue
+            for b in range(q):
+                assert not gf._irreducible(F, [b] + [0] * (m - 1) + [1])
+                skipped += 1
+    assert skipped == 699
 
 
 # SHA-256 digests of the field tables, recorded before the field classes
@@ -768,7 +863,8 @@ def test_chunked_frobenius_matches_powering(data):
         assert fld.frob(x, j) == fld._poly_pow(x, fld.q ** j)
 
 
-# char-2 tables, odd-characteristic tables, the two-level GF(9^2), a prime field
+# product tables in characteristic 2 and 3, the two-level GF(9^2), a prime
+# field
 SPAN_FIELDS = (F8, F16, F9, gf.field(3, 2, 2), gf.field(7, 1, 1))
 
 
@@ -805,13 +901,17 @@ def test_span_matches_product_sum(data):
     assert all(w is not offset for w in words)
 
 
-# one field per closure family of Field._bind_ops: odd-characteristic tables
-# with Zech logarithms (even and odd dim, p = 5, the tower GF(9^2)), a prime
-# field, characteristic-2 tables (over GF(2) and the tower GF(4^3)), and no
-# tables (Kronecker and carry-less)
+# fields of every closure family of Field._bind_ops: product tables up to
+# 2^8 elements (odd characteristic with even and odd dim, p = 5, the tower
+# GF(9^2); characteristic 2 over GF(2) and the tower GF(4^3)), a prime
+# field, characteristic-2 log tables above 2^8 (GF(2^9), the tower GF(4^5)),
+# odd-characteristic tables with Zech logarithms (GF(3^6), GF(3^7), GF(5^4),
+# the tower GF(9^3)), and no tables (Kronecker and carry-less)
 OP_FIELDS = (gf.field(3, 1, 4), gf.field(3, 1, 5), gf.field(5, 1, 3),
              gf.field(3, 2, 2), gf.field(7, 1, 1), gf.field(2, 1, 8),
-             gf.field(2, 2, 3), gf.field(7, 1, 11), gf.field(2, 1, 33))
+             gf.field(2, 2, 3), gf.field(2, 1, 9), gf.field(2, 2, 5),
+             gf.field(3, 1, 6), gf.field(3, 1, 7), gf.field(5, 1, 4),
+             gf.field(3, 2, 3), gf.field(7, 1, 11), gf.field(2, 1, 33))
 
 
 def _codes(fld):
@@ -897,11 +997,13 @@ def test_rref_and_rank_match_gauss_jordan_oracle(data):
     assert rows == before
 
 
-# one field per family for rank_q: a prime field, char-2 tables, odd tables
-# (Zech), the towers GF(4^3) and GF(9^3), and no tables (Kronecker and
-# carry-less)
+# fields of every family for rank_q: a prime field, product tables (GF(2^8),
+# GF(3^4), the tower GF(4^3)), char-2 log tables (GF(2^9), the tower
+# GF(4^5)), Zech tables (GF(3^6), the tower GF(9^3)), and no tables
+# (Kronecker and carry-less)
 RANK_Q_FIELDS = (gf.field(7, 1, 1), gf.field(2, 1, 8), gf.field(3, 1, 4),
-                 gf.field(2, 2, 3), gf.field(3, 2, 3), gf.field(7, 1, 11),
+                 gf.field(2, 2, 3), gf.field(2, 1, 9), gf.field(2, 2, 5),
+                 gf.field(3, 1, 6), gf.field(3, 2, 3), gf.field(7, 1, 11),
                  gf.field(2, 1, 33))
 
 

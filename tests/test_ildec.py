@@ -435,10 +435,12 @@ def test_decoder_matches_scan_forney_reference(data):
     assert ildec.joint_decode(rows, spec) == expected
 
 
-# char-2 tables (over GF(2) and GF(4)), odd tables with Zech logarithms, a
-# prime field, and an odd field without tables
+# product tables (over GF(2), GF(3), GF(5) and the tower GF(4^2)), char-2
+# log tables (GF(2^9), the tower GF(4^5)), odd tables with Zech logarithms
+# (GF(3^6)), a prime field, and an odd field without tables
 ROOT_FIELDS = (F8, gf.field(2, 2, 2), gf.field(3, 1, 2), gf.field(3, 1, 3),
-               gf.field(5, 1, 2), gf.field(7, 1, 1), gf.field(7, 1, 11))
+               gf.field(5, 1, 2), gf.field(2, 1, 9), gf.field(2, 2, 5),
+               gf.field(3, 1, 6), gf.field(7, 1, 1), gf.field(7, 1, 11))
 
 
 @settings(max_examples=300)
