@@ -81,20 +81,27 @@ class UsageError(Exception):
 # ---------------------------------------------------------------------------
 # subcommand implementations
 
-def _check_codes(fld, option, codes):
-    """Element codes of fld lie in [0, q^m)."""
+def _check_codes(order, name, option, codes):
+    """Element codes of the field `name` lie in [0, order)."""
     for c in codes:
-        if not 0 <= c < fld.order:
+        if not 0 <= c < order:
             raise GuardError(f"{option} value {c} is not an element code of "
-                             f"{fld!r}: codes lie in [0, {fld.order})")
+                             f"{name}: codes lie in [0, {order})")
     return codes
 
 
 def cmd_skew_eval(args):
+    # before the field: a large m spends seconds in the modulus search
+    p, e = gf.require_prime_power(args.q)
+    if args.m < 1:
+        raise GuardError(f"--m {args.m} must be >= 1")
+    order, name = args.q ** args.m, gf.field_name(p, e, args.m)
+    _check_codes(order, name, "--beta", [args.beta])
+    coeffs = _check_codes(order, name, "--coeffs",
+                          _parse_ints("--coeffs", args.coeffs))
+    points = _check_codes(order, name, "--points",
+                          _parse_ints("--points", args.points))
     fld = gf.field_q(args.q, args.m)
-    _check_codes(fld, "--beta", [args.beta])
-    coeffs = _check_codes(fld, "--coeffs", _parse_ints("--coeffs", args.coeffs))
-    points = _check_codes(fld, "--points", _parse_ints("--points", args.points))
     ring = skew.SkewRing(fld, args.theta, args.beta)
     poly = ring.poly(coeffs)
     values = {str(a): poly.evaluate(a) for a in points}
@@ -147,6 +154,9 @@ def cmd_support_check(args):
 def cmd_support_build(args):
     seed = _require_seed(args)
     pattern = _pattern_from_args(args)
+    # before the field, like the shape checks of _lrs_spec
+    support.check_pattern_length(
+        pattern, sum(_parse_ints("--lengths", args.lengths)))
     spec = _lrs_spec(args, pattern.k)
     rng = bench.SplitMix64(seed)
     result = support.build_constrained_generator(spec, pattern, rng)

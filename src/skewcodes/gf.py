@@ -703,6 +703,11 @@ def field_q(q, m):
     return field(p, e, m)
 
 
+def field_name(p, e, m):
+    """repr(field(p, e, m)), without building the field."""
+    return f"GF({p}^{e * m})[q={p ** e},m={m}]"
+
+
 class Field:
     """GF(q^m) as a degree-m extension of the Field `base` = GF(q).
 
@@ -956,7 +961,7 @@ class Field:
         return 1 + rng.randrange(self.order - 1)
 
     def __repr__(self):
-        return f"GF({self.p}^{self.dim})[q={self.q},m={self.m}]"
+        return field_name(self.p, self.dim // self.m, self.m)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ HAMMING = "hamming"
 RANK = "rank"
 SUMRANK = "sumrank"
 
-BALL_GUARD = 40          # enumerate compositions only while ell * s <= 40
 BRUTEFORCE_GUARD = 1 << 24
 
 
@@ -135,27 +134,19 @@ def rank_ball(n, m, radius, q):
 
 
 def sumrank_ball(partition, m, radius, q):
-    """Sum over ordered decompositions s_1 + ... + s_ell = s <= radius."""
-    if partition.ell * radius > BALL_GUARD:
-        raise ValueError("ball guard exceeded (ell * s > 40)")
-    total = 0
-    for s in range(radius + 1):
-        for comp in compositions(s, partition.ell):
-            term = 1
-            for ni, si in zip(partition.parts, comp):
-                term *= rank_count(ni, m, si, q)
-            total += term
-    return total
-
-
-def compositions(s, parts):
-    """Ordered tuples of `parts` nonnegative integers summing to s."""
-    if parts == 1:
-        yield (s,)
-        return
-    for first in range(s + 1):
-        for rest in compositions(s - first, parts - 1):
-            yield (first,) + rest
+    """Vectors of sum-rank weight <= radius: the product of the blocks'
+    rank-shell polynomials (Byrne, Gluesing-Luerssen & Ravagnani, IEEE T-IT
+    67(10), 2021), truncated at degree radius, with its coefficients summed."""
+    ball = [1]
+    for nl in partition.parts:
+        shell = [rank_count(nl, m, s, q)
+                 for s in range(min(nl, m, radius) + 1)]
+        product = [0] * min(len(ball) + len(shell) - 1, radius + 1)
+        for i, a in enumerate(ball):
+            for j, b in enumerate(shell[:len(product) - i]):
+                product[i + j] += a * b
+        ball = product
+    return sum(ball)
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +164,6 @@ def classical_bounds(metric, n, d, q, m=1, partition=None):
     if metric in (RANK, SUMRANK) and m < 1:
         raise ValueError(f"extension degree m = {m} must be >= 1")
     t = (d - 1) // 2
-    reports = []
     if metric == HAMMING:
         singleton = Fraction(q ** (n - d + 1))
         sphere = Fraction(q ** n, hamming_ball(n, t, q))
@@ -190,18 +180,10 @@ def classical_bounds(metric, n, d, q, m=1, partition=None):
             raise ValueError(f"partition {list(partition.parts)} sums to "
                              f"{partition.n}, not n = {n}")
         singleton = Fraction(q ** (m * (n - d + 1)))
-        # the ball enumeration guard may rule out the packing bounds
-        sphere = gv = None
-        if partition.ell * t <= BALL_GUARD:
-            sphere = Fraction(q ** (m * n), sumrank_ball(partition, m, t, q))
-        if partition.ell * (d - 1) <= BALL_GUARD:
-            gv = Fraction(q ** (m * n),
-                          sumrank_ball(partition, m, d - 1, q))
+        sphere = Fraction(q ** (m * n), sumrank_ball(partition, m, t, q))
+        gv = Fraction(q ** (m * n), sumrank_ball(partition, m, d - 1, q))
     else:
         raise ValueError(f"unknown metric {metric!r}")
-    reports.append(BoundReport("singleton", singleton))
-    if sphere is not None:
-        reports.append(BoundReport("sphere_packing", sphere))
-    if gv is not None:
-        reports.append(BoundReport("gilbert_varshamov", gv))
-    return reports
+    return [BoundReport("singleton", singleton),
+            BoundReport("sphere_packing", sphere),
+            BoundReport("gilbert_varshamov", gv)]

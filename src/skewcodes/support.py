@@ -241,6 +241,13 @@ def _resample_multipliers(spec, rng):
                        multipliers=blocks)
 
 
+def check_pattern_length(pattern, n):
+    """A zero pattern fits a code of length n only if it has n columns."""
+    if pattern.n != n:
+        raise ValueError(f"pattern has n = {pattern.n} columns, the code "
+                         f"has n = {n}")
+
+
 def build_constrained_generator(spec, pattern, rng=None):
     """Full-rank T and G = T * G_LRS with zeros exactly at the padded pattern.
 
@@ -251,9 +258,7 @@ def build_constrained_generator(spec, pattern, rng=None):
     rng = rng or random.Random(0)
     if pattern.k != spec.k:
         raise ValueError("pattern must have k rows")
-    if pattern.n != spec.n:
-        raise ValueError(f"pattern has n = {pattern.n} columns, the code "
-                         f"has n = {spec.n}")
+    check_pattern_length(pattern, spec.n)
     padded = pad_pattern(pattern)
     need_m = field_size_bound(spec.k, spec.field.q, spec.lengths)
     if spec.field.m < need_m:

@@ -263,6 +263,35 @@ def solve_source_lengths(instance):
     return {instance.access[i]: best[0][i] for i in range(s)}, best[1]
 
 
+def compositions(s, parts, cap=None):
+    """Ordered tuples of `parts` nonnegative integers summing to s, each at
+    most cap if one is given."""
+    cap = s if cap is None else cap
+    if s > parts * cap:
+        return
+    if parts == 1:
+        yield (s,)
+        return
+    for first in range(min(s, cap) + 1):
+        for rest in compositions(s - first, parts - 1, cap):
+            yield (first,) + rest
+
+
+def sumrank_ball(partition, m, radius, q):
+    """metric.sumrank_ball by one term per composition s_1 + ... + s_ell of
+    each s <= radius: the product of the blocks' rank-s_l counts.  Parts
+    above min(m, n_l) count zero, so none above min(m, max n_l) is made."""
+    cap = min(m, max(partition.parts))
+    total = 0
+    for s in range(radius + 1):
+        for comp in compositions(s, partition.ell, cap):
+            term = 1
+            for nl, sl in zip(partition.parts, comp):
+                term *= metric.rank_count(nl, m, sl, q)
+            total += term
+    return total
+
+
 def exhaustive_min_total(instance):
     """Smallest feasible total of the designer's ILP by direct enumeration
     over both families (h <= 5)."""
@@ -272,7 +301,7 @@ def exhaustive_min_total(instance):
     s = instance.s
     cap = max(rhs for _, rhs, _, _ in rows)
     for total in range(0, s * cap + 1):
-        for comp in metric.compositions(total, s):
+        for comp in compositions(total, s):
             ok = all(sum(comp[i] for i in touch) >= rhs
                      for touch, rhs, _, _ in rows)
             if ok:

@@ -620,6 +620,47 @@ def test_field_free_arguments_rejected_before_any_field(monkeypatch, capsys,
     assert named in err
 
 
+@pytest.mark.parametrize("argv, code, named", [
+    (["skew-eval", "--q", "25", "--m", "40", "--beta", "1", "--coeffs", "x",
+      "--points", "1"], cli.EXIT_USAGE, "--coeffs: 'x' is not an integer"),
+    (["skew-eval", "--q", "7", "--m", "172", "--beta", "16", "--coeffs", ";",
+      "--points", "1"], cli.EXIT_USAGE, "--coeffs: ';' is not an integer"),
+    (["skew-eval", "--q", "25", "--m", "40", "--beta", "-1", "--coeffs", "x",
+      "--points", "1"], cli.EXIT_INFEASIBLE,
+     "--beta value -1 is not an element code of GF(5^80)[q=25,m=40]"),
+    (["skew-eval", "--q", "25", "--m", "40", "--coeffs", "1",
+      "--points", str(25 ** 40)], cli.EXIT_INFEASIBLE,
+     f"--points value {25 ** 40} is not an element code"),
+    (["skew-eval", "--q", "25", "--m", "0", "--coeffs", "1", "--points",
+      "1"], cli.EXIT_INFEASIBLE, "--m 0 must be >= 1"),
+    (["--seed", "1", "support-build", "--n", "11", "--zeros", "1;2", "--q",
+      "8", "--m", "31", "--lengths", "2 3"], cli.EXIT_INFEASIBLE,
+     "pattern has n = 11 columns, the code has n = 5"),
+], ids=["skew-eval-coeffs", "skew-eval-semicolon", "skew-eval-beta",
+        "skew-eval-points", "skew-eval-m", "support-build-n"])
+def test_codes_and_pattern_length_rejected_before_the_field(monkeypatch,
+                                                            capsys, argv,
+                                                            code, named):
+    # each used to build GF(25^40) (about 25 s), fail to build GF(7^172)
+    # (about 8 s, exit 2) or build GF(8^31) (about 3.5 s) first
+    def no_field(*args):
+        raise AssertionError("a field was built before the checks")
+    monkeypatch.setattr(gf, "field_q", no_field)
+    assert cli.main(argv) == code
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert named in err
+
+
+def test_code_refusal_names_the_field_it_would_build(capsys):
+    for q, m in ((9, 1), (4, 3), (5, 2), (2, 8)):
+        argv = ["skew-eval", "--q", str(q), "--m", str(m), "--coeffs", "1",
+                "--points", str(q ** m)]
+        assert cli.main(argv) == cli.EXIT_INFEASIBLE
+        assert f"element code of {gf.field_q(q, m)!r}: codes lie in " \
+            f"[0, {q ** m})" in capsys.readouterr().err
+
+
 def test_module_entry_point():
     proc = run_cli(["support-check", "--n", "3", "--zeros", "1; 2"])
     assert proc.returncode == 0

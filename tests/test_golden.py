@@ -10,6 +10,9 @@ with options moved into a ``--config`` file, must print the same bytes.
 """
 
 import hashlib
+import pathlib
+import re
+import shlex
 
 import pytest
 
@@ -136,3 +139,25 @@ def test_golden_variant(name, tmp_path, capsys):
     code, output = golden_output(argv, tmp_path, capsys)
     assert code == cli.EXIT_OK
     assert hashlib.sha256(output).hexdigest() == GOLDEN[case][1]
+
+
+def readme_commands():
+    """The argvs of the `skewcodes` commands in README.md's sh blocks, with
+    backslash continuations joined and comments skipped."""
+    text = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    commands = []
+    for block in re.findall(r"^```sh\n(.*?)^```", text, re.M | re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            argv = shlex.split(line, comments=True)
+            if argv[:1] == ["skewcodes"]:
+                commands.append(argv[1:])
+    return commands
+
+
+def test_readme_cli_examples_are_the_golden_cases():
+    readme = [["{out}" if a == "curves.csv" else a for a in argv]
+              for argv in readme_commands()]
+    golden = [argv for name, (argv, _) in GOLDEN.items()
+              if name.startswith("readme-")]
+    assert len(readme) == 12
+    assert readme == golden

@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from skewcodes import gf, metric
 
+import oracles
+
 F4 = gf.field(2, 1, 2)
 F16 = gf.field(2, 2, 2)
 F9 = gf.field(3, 1, 2)
@@ -216,9 +218,47 @@ def test_classical_bounds_reject_bad_q_and_partition():
 
 
 def test_ball_guard():
+    # ell * radius = 42 was refused by the composition enumeration's guard
     part = metric.OrderedPartition((3,) * 21)
-    with pytest.raises(ValueError):
-        metric.sumrank_ball(part, 2, 2, 2)
+    assert metric.sumrank_ball(part, 2, 2, 2) == \
+        oracles.sumrank_ball(part, 2, 2, 2)
+
+
+@settings(max_examples=150)
+@given(st.data())
+def test_sumrank_ball_matches_composition_oracle(data):
+    parts = data.draw(st.lists(st.integers(1, 5), min_size=1, max_size=6))
+    part = metric.OrderedPartition(tuple(parts))
+    m = data.draw(st.integers(1, 5))
+    q = data.draw(st.sampled_from((2, 3, 4, 5)))
+    radius = data.draw(st.integers(0, part.n + 1))
+    assert metric.sumrank_ball(part, m, radius, q) == \
+        oracles.sumrank_ball(part, m, radius, q)
+
+
+def test_sumrank_bounds_hold_for_lrs_shapes():
+    # an LRS code of ell <= q - 1 blocks of length n_l <= m exists for every
+    # d and is MSRD, so it has q^(m(n - d + 1)) words: a ball counted too
+    # large can put that size above sphere-packing, one too small GV above
+    # Singleton
+    rng = random.Random(29)
+    names = ["singleton", "sphere_packing", "gilbert_varshamov"]
+    past_old_guard = 0
+    for _ in range(400):
+        q = rng.choice((2, 3, 4, 5, 7, 8, 9, 16))
+        m = rng.randint(1, 5)
+        part = metric.OrderedPartition(tuple(
+            rng.randint(1, m) for _ in range(rng.randint(1, q - 1))))
+        for d in range(1, part.n + 1):
+            reports = metric.classical_bounds(metric.SUMRANK, part.n, d, q,
+                                              m, part)
+            assert [r.name for r in reports] == names
+            singleton, sphere, gv = (r.value for r in reports)
+            assert q ** (m * (part.n - d + 1)) <= sphere
+            assert gv <= singleton and gv <= sphere
+            past_old_guard += part.ell * (d - 1) > 40
+    # 678 of the 2,450 cases lie past the old guard ell * (d - 1) <= 40
+    assert past_old_guard == 678
 
 
 def test_bound_report_log10():
