@@ -159,20 +159,17 @@ def verify_aad(family, l_bound, mode="exhaustive", samples=2000, rng=None):
     only through its coset modulo S_i.  So both modes reduce modulo S_i
     (by one echelon basis of S_i) and count, per coset, the j != i with the
     coset in the image of S_j: q^k words per ordered pair.  Exhaustive mode
-    checks every coset of every i; sample mode draws (i, u) with u outside
-    S_i and checks the drawn cosets, one table alive at a time.
+    checks every coset of every i (None below); sample mode draws (i, u)
+    with u outside S_i and checks the drawn cosets.  One table is alive at
+    a time.
     """
     field = family.field
     n = family.n
     q = field.order
     if mode == "exhaustive":
         check_exhaustive_guard(n, q)
-        for i, rows in enumerate(family.generators):
-            table = _coset_table(family, i, _reducer(field, rows))
-            if max(table.values(), default=0) > l_bound:
-                return False
-        return True
-    if mode == "sample":
+        drawn = dict.fromkeys(range(family.size))
+    elif mode == "sample":
         if samples < 1:
             raise ValueError(f"samples = {samples} must be >= 1")
         if rng is None:
@@ -189,12 +186,15 @@ def verify_aad(family, l_bound, mode="exhaustive", samples=2000, rng=None):
                 if any(coset):
                     break
             drawn[i].append(coset)
-        for i, cosets in drawn.items():
-            table = _coset_table(family, i, reducers[i])
-            if any(table[c] > l_bound for c in cosets):
-                return False
-        return True
-    raise ValueError(f"unknown mode {mode!r}")
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    for i, cosets in drawn.items():
+        table = _coset_table(family, i,
+                             _reducer(field, family.generators[i]))
+        if any(table[c] > l_bound
+               for c in (table if cosets is None else cosets)):
+            return False
+    return True
 
 
 def bounds(n, k, l_bound, q):

@@ -26,11 +26,21 @@ class GuardError(Exception):
 
 
 def _emit(args, payload, text=None):
-    """JSON by default; CSV/text payloads pass through as-is."""
+    """JSON by default, with Fractions as strings; CSV/text payloads pass
+    through as-is.  Exact values print in full: the int-to-str digit limit
+    of Python >= 3.10.7 is lifted while the payload is formatted (before
+    3.10.7 there is no limit, and int() stands in for its getter and
+    setter)."""
     if args.format == "csv" and text is not None:
         out = text
     else:
-        out = json.dumps(payload, indent=2, default=str) + "\n"
+        limit = getattr(sys, "get_int_max_str_digits", int)()
+        set_limit = getattr(sys, "set_int_max_str_digits", int)
+        set_limit(0)
+        try:
+            out = json.dumps(payload, indent=2, default=str) + "\n"
+        finally:
+            set_limit(limit)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(out)
@@ -183,8 +193,7 @@ def cmd_dist_design(args):
 
 
 def _net_bounds(bounds):
-    return [{"name": b.name, "applicable": b.applicable,
-             "value": str(b.value) if b.value is not None else None,
+    return [{"name": b.name, "applicable": b.applicable, "value": b.value,
              "log2": b.log2} for b in bounds]
 
 
@@ -271,7 +280,7 @@ def cmd_aad_verify(args):
     ok = aad.verify_aad(fam, l_bound, args.mode, args.samples, rng)
     spread = aad.verify_spread(fam)
     _emit(args, {"size": fam.size, "spread": spread, "aad_ok": ok,
-                 "L": l_bound, "upper_bound": str(upper),
+                 "L": l_bound, "upper_bound": upper,
                  "asymptotic_lower": as_lower})
 
 
@@ -282,7 +291,7 @@ def cmd_bounds_table(args):
             tuple(_parse_ints("--partition", args.partition)))
     reports = metric.classical_bounds(args.metric, args.n, args.d, args.q,
                                       args.m, part)
-    _emit(args, {"bounds": [{"name": r.name, "value": str(r.value),
+    _emit(args, {"bounds": [{"name": r.name, "value": r.value,
                              "log10": r.log10} for r in reports]})
 
 

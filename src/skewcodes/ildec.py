@@ -70,15 +70,11 @@ def sample_burst(field, s, n, t, rng, support=None, subfield=False):
         support = sorted(support)
         if len(support) != t:
             raise ValueError("support size must equal t")
-    alphabet = field.base_elements() if subfield else None
+    size = field.q if subfield else field.order
     columns = []
     for _ in range(t):
         while True:
-            if subfield:
-                col = [alphabet[rng.randrange(len(alphabet))]
-                       for _ in range(s)]
-            else:
-                col = [rng.randrange(field.order) for _ in range(s)]
+            col = [rng.randrange(size) for _ in range(s)]
             if any(col):
                 break
         columns.append(col)

@@ -46,10 +46,6 @@ class LrsSpec:
                                  "F_q-linearly dependent")
 
     @property
-    def ell(self):
-        return len(self.lengths)
-
-    @property
     def n(self):
         return sum(self.lengths)
 

@@ -249,24 +249,30 @@ def _necessary_holds(params, q, t):
     return Fraction(q) ** (t * power) >= ratio
 
 
-def min_qt_satisfying_necessary(params):
-    """A = min{log2(q^t) : q^t meets the necessary condition}; exact search.
+def _least(holds, lo=1):
+    """The least integer t >= lo >= 1 with holds(t), for a predicate that
+    stays true once true: doubling steps, then bisection."""
+    hi = lo
+    while not holds(hi):
+        lo, hi = hi + 1, 2 * hi
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if holds(mid) else (mid + 1, hi)
+    return hi
 
-    Monotone in t for fixed q and in q for fixed t; scans prime powers up to
-    the t = 1 threshold.
+
+def min_qt_satisfying_necessary(params):
+    """A = min{q^t : q^t meets the necessary condition}; exact search.
+
+    The condition is monotone in q for fixed t, so the least prime power
+    that meets it at t follows the least integer that does.  No t with
+    2^t >= A can beat A.
     """
-    t1_threshold = 2
-    while not _necessary_holds(params, t1_threshold, 1):
-        t1_threshold = gf.next_prime_power(t1_threshold + 1)
-    best = t1_threshold  # q = threshold, t = 1
-    q = 2
-    while q <= best:
-        t = 1
-        while q ** t < best and not _necessary_holds(params, q, t):
-            t += 1
-        if q ** t <= best and _necessary_holds(params, q, t):
-            best = min(best, q ** t)
-        q = gf.next_prime_power(q + 1)
+    best, t = math.inf, 1
+    while 2 ** t < best:
+        base = _least(lambda b: _necessary_holds(params, b, t), 2)
+        best = min(best, gf.next_prime_power(base) ** t)
+        t += 1
     return best
 
 
@@ -274,17 +280,15 @@ def gap_bounds(params):
     """(gap_lb, gap_ub) plus the search witnesses, as a dict."""
     p = params
     _require_solvable_window(params)
-    first_case = p.h >= 2 * p.ell + p.eps
     # upper bound: log2 q_s upper - A
     qs_ub_log2 = qt_sufficient_log2(params, 1)
     a_value = min_qt_satisfying_necessary(params)
     gap_ub = qs_ub_log2 - math.log2(a_value)
     # t_A / t_B: minimal t with 2^t above the necessary threshold
-    t_a = 1
-    while not _necessary_holds(params, 2, t_a):
-        t_a += 1
-    # lower bound: log2 q_s lower - t_delta (resp. t_star)
-    if first_case:
+    t_a = _least(lambda t: _necessary_holds(params, 2, t))
+    # lower bound: log2 q_s lower - t_delta (resp. t_star), the least t
+    # past a threshold that f (first case) or g (second case) must reach
+    if p.h >= 2 * p.ell + p.eps:
         # f(t) = (slope - eps) eps t^2 + slope t + 1 must grow for t_delta
         # to exist; in the window slope >= eps >= 0, so only slope = 0
         # (eps = 0, h = alpha ell) fails.  g always grows in the second case
@@ -292,14 +296,10 @@ def gap_bounds(params):
             raise ValueError("f(t) = 1 does not grow with t, so t_delta is "
                              "undefined")
         target = math.log2(p.r) - math.log2(p.beta)
-        t_delta = 1
-        while p.f(t_delta) / (p.alpha - 1) < target:
-            t_delta += 1
+        t_delta = _least(lambda t: p.f(t) / (p.alpha - 1) >= target)
     else:
         ratio = Fraction(p.r, p.alpha - 1)
-        t_delta = 1
-        while Fraction(2) ** p.g(t_delta) < ratio:
-            t_delta += 1
+        t_delta = _least(lambda t: Fraction(2) ** p.g(t) >= ratio)
     gap_lb = qt_necessary_log2(params, 1) - t_delta
     return {"gap_lb": gap_lb, "gap_ub": gap_ub, "t_A": t_a,
             "t_delta": t_delta, "A_log2": math.log2(a_value),

@@ -181,10 +181,7 @@ def s_t_exhaustive(ell, r, t):
 
 def min_valid_ell(r):
     """Smallest ell with r < q/2 = 2^(ell-1)."""
-    ell = 1
-    while r >= (1 << (ell - 1)):
-        ell += 1
-    return ell
+    return r.bit_length() + 1
 
 
 def s_counts_recursive(ell, r):
@@ -246,10 +243,8 @@ def _monomial_evaluations(field, monomials):
 def evaluation_rank(params):
     """Rank of the good-monomial evaluation matrix (dimension cross-check)."""
     field = gf.field(2, params.ell, 1)
-    rows = _monomial_evaluations(field, good_monomials(params))
-    if not rows:
-        return 0
-    return gf.rank(field, rows)
+    return gf.rank(field, _monomial_evaluations(field,
+                                                good_monomials(params)))
 
 
 def encode(params, coeffs):
@@ -283,16 +278,19 @@ def min_distance_bruteforce(params):
 # ---------------------------------------------------------------------------
 # local recovery
 
-def curves_through(field, point):
-    """All q^2 quadratic curves through the point, as index lists.
+def curves_through(params, point):
+    """All q^2 quadratic curves of F_q^2 through the point, as index lists.
 
     Curve (alpha, beta) maps x to alpha x^2 + beta x + gamma0 with gamma0
     fixed by the point; the list holds the q - 1 cell indices at x != x0
-    in the row-major (x, y) indexing of the code's evaluation points.
+    in the row-major (x, y) indexing of the code's evaluation points.  The
+    guard needs only q, so it runs before the field build, which takes
+    seconds at large ell.
     """
     x0, y0 = point
-    q = field.order
+    q = params.q
     _check_enumeration_guard(q * q * (q - 1), "q^2 (q - 1) curve cells")
+    field = gf.field(2, params.ell, 1)
     out = []
     for alpha in field.elements():
         for beta in field.elements():
@@ -317,11 +315,10 @@ def local_recover(params, word, erased, position):
     Returns the value or None when every curve is blocked.
     """
     q = params.q
-    # before the field: the guard needs only q, the field build takes seconds
-    _check_enumeration_guard(q * q * (q - 1), "q^2 (q - 1) curve cells")
-    field = gf.field(2, params.ell, 1)
     x0, y0 = divmod(position, q)
-    for cells in curves_through(field, (x0, y0)):
+    curves = curves_through(params, (x0, y0))
+    field = gf.field(2, params.ell, 1)
+    for cells in curves:
         known = [c for c in cells if c not in erased]
         if len(known) < q - params.r:
             continue
@@ -362,14 +359,10 @@ def simulate_local(params, tau, trials, rng):
     _check_tau(tau)
     if trials < 1:
         raise ValueError(f"trials = {trials} must be >= 1")
-    q = params.q
-    # before the field: the guard needs only q, the field build takes seconds
-    _check_enumeration_guard(q * q * (q - 1), "q^2 (q - 1) curve cells")
-    field = gf.field(2, params.ell, 1)
     target = 0
-    curves = curves_through(field, (0, 0))
+    curves = curves_through(params, (0, 0))
     failures = 0
-    n = q * q
+    n = params.q ** 2
     for _ in range(trials):
         erased = {c for c in range(n) if c != target
                   and rng.random() < tau}

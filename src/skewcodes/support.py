@@ -153,16 +153,6 @@ def _pad_row(zeros, n, i):
     j to Z_i drops j from Y_i and makes j a column to match, so one
     augmenting search from j decides; a failed search leaves the matching
     as it was.
-
-    A row rejects at most one j, so after a rejection the next free
-    positions are added unchecked.  A rejection of j comes from a tight row
-    set Omega containing i (|intersection of its Z| + |Omega| = k, j in the
-    intersection of the Z of Omega minus i), and Z_i only grows, so Omega
-    stays tight.  The intersection of two tight sets through i is tight
-    (|intersection of Z| is supermodular), so a second rejection would make
-    {i} tight, i.e. Z_i full, or a set {i} + C tight with both rejected
-    positions outside Z_i in the intersection of the Z of C, one more than
-    GM on C allows.
     """
     k = len(zeros)
     mate = _matching(zeros, i)
@@ -174,9 +164,6 @@ def _pad_row(zeros, n, i):
         zeros[i].add(j)
         if not _augment(zeros, mate, j):
             zeros[i].discard(j)
-            free = [y for y in range(j + 1, n + 1) if y not in zeros[i]]
-            zeros[i].update(free[:k - 1 - len(zeros[i])])
-            return
 
 
 def field_size_bound(k, q, lengths):
@@ -478,8 +465,7 @@ def distributed_design(instance, rng=None):
     blocks = split_blocks(n, instance.ell)
     q = gf.next_prime_power(instance.ell + 1)
     m = field_size_bound(kt, q, blocks)
-    p, e = gf.prime_power(q)
-    fld = gf.field(p, e, m)
+    fld = gf.field_q(q, m)
     spec = lrs.default_spec(fld, blocks, kt)
     generator, result = _padded_generator(pattern, spec, rng)
     return DesignResult(instance, source_lengths, n, kt, d, q, m, blocks,

@@ -389,6 +389,56 @@ def bound_consistent(bound, rel_tol=1e-9):
     return True
 
 
+def min_qt_satisfying_necessary(params):
+    """netgap.min_qt_satisfying_necessary by a scan over every prime power
+    up to the t = 1 threshold, each raising t until q^t meets the necessary
+    condition or reaches the best value so far."""
+    holds = netgap._necessary_holds
+    t1_threshold = 2
+    while not holds(params, t1_threshold, 1):
+        t1_threshold = gf.next_prime_power(t1_threshold + 1)
+    best = t1_threshold  # q = threshold, t = 1
+    q = 2
+    while q <= best:
+        t = 1
+        while q ** t < best and not holds(params, q, t):
+            t += 1
+        if q ** t <= best and holds(params, q, t):
+            best = min(best, q ** t)
+        q = gf.next_prime_power(q + 1)
+    return best
+
+
+def gap_bounds(params):
+    """netgap.gap_bounds with the prime-power scan above and t_A and t_delta
+    found by counting t up from 1."""
+    p = params
+    netgap._require_solvable_window(params)
+    qs_ub_log2 = netgap.qt_sufficient_log2(params, 1)
+    a_value = min_qt_satisfying_necessary(params)
+    gap_ub = qs_ub_log2 - math.log2(a_value)
+    t_a = 1
+    while not netgap._necessary_holds(params, 2, t_a):
+        t_a += 1
+    if p.h >= 2 * p.ell + p.eps:
+        if p.alpha * p.ell + 2 * p.eps - p.h == 0:
+            raise ValueError("f(t) = 1 does not grow with t, so t_delta is "
+                             "undefined")
+        target = math.log2(p.r) - math.log2(p.beta)
+        t_delta = 1
+        while p.f(t_delta) / (p.alpha - 1) < target:
+            t_delta += 1
+    else:
+        ratio = Fraction(p.r, p.alpha - 1)
+        t_delta = 1
+        while Fraction(2) ** p.g(t_delta) < ratio:
+            t_delta += 1
+    gap_lb = netgap.qt_necessary_log2(params, 1) - t_delta
+    return {"gap_lb": gap_lb, "gap_ub": gap_ub, "t_A": t_a,
+            "t_delta": t_delta, "A_log2": math.log2(a_value),
+            "A_value": a_value}
+
+
 def flow_graph(zeros, n, anchor):
     """Residual graph source -> row i -> columns Y_i -> sink, Y_i = [n] \\ Z_i.
 

@@ -2,10 +2,11 @@ import json
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
-from skewcodes import aad, cli, gf
+from skewcodes import aad, cli, gf, metric
 
 
 def run_cli(args, timeout=300):
@@ -463,6 +464,39 @@ def test_bounds_table(tmp_path):
     payload = json.loads(out.read_text())
     names = {b["name"] for b in payload["bounds"]}
     assert names == {"singleton", "sphere_packing", "gilbert_varshamov"}
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="no int-to-str digit limit before Python 3.10.7")
+def test_bounds_table_prints_values_beyond_the_digit_limit(capsys):
+    # GV's numerator has 48,165 digits: str() refused it past Python's
+    # 4,300-digit limit and the command exited 2 as an infeasible instance
+    argv = ["--metric", "rank", "--n", "400", "--d", "200", "--q", "2",
+            "--m", "400"]
+    limit = sys.get_int_max_str_digits()
+    assert cli.main(["bounds-table", *argv]) == cli.EXIT_OK
+    assert sys.get_int_max_str_digits() == limit
+    printed = json.loads(capsys.readouterr().out)["bounds"]
+    reports = metric.classical_bounds(metric.RANK, 400, 200, 2, 400)
+    sys.set_int_max_str_digits(0)       # reading them back converts too
+    try:
+        assert [Fraction(b["value"]) for b in printed] == \
+            [r.value for r in reports]
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert max(len(b["value"]) for b in printed) > limit
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="no int-to-str digit limit before Python 3.10.7")
+def test_argv_integer_beyond_the_digit_limit_refused(capsys):
+    # the limit is lifted only while the output is formatted
+    big = "1" + "0" * 4400
+    argv = ["netgap", "--h", "2", "--r", big, "--alpha", "3", "--ell", "1",
+            "--eps", "0"]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and "--r" in err
 
 
 def test_bounds_table_rejects_bad_partition_and_q(capsys):

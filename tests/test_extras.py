@@ -1,6 +1,7 @@
 """Cross-module and edge-case checks beyond the per-module suites."""
 
 import ast
+import importlib.util
 import itertools
 import pathlib
 import random
@@ -222,3 +223,31 @@ def test_src_imports_only_at_module_level():
                            for node in ast.walk(scope)
                            if isinstance(node, (ast.Import, ast.ImportFrom))}
     assert nested == set()
+
+
+def test_code_line_counter(tmp_path):
+    # tools/code_lines.py leaves out blank, comment and docstring lines and
+    # counts every line a multi-line expression spans
+    spec = importlib.util.spec_from_file_location(
+        "code_lines",
+        pathlib.Path(__file__).parents[1] / "tools" / "code_lines.py")
+    code_lines = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(code_lines)
+    module = tmp_path / "sample.py"
+    module.write_text('"""Module docstring,\n\nthree lines."""\n'
+                      "\n"
+                      "# a comment\n"
+                      "X = [1,\n"
+                      "     2]  # trailing comment\n"
+                      "\n"
+                      "\n"
+                      "class C:\n"
+                      '    """Class docstring."""\n'
+                      "\n"
+                      "    def f(self):\n"
+                      "        '''One\n"
+                      "        two.'''\n"
+                      '        return """a\n'
+                      'b"""\n')
+    # X = [1, / 2] / class C: / def f / return """a / b"""
+    assert code_lines.code_lines(module) == 6

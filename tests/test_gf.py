@@ -1120,3 +1120,33 @@ def test_wrapped_ops_fall_back_to_class_methods(key):
         [r[:3] for r in bound[0]]
     assert not any(hasattr(gf.Field, op)
                    for op in ("add", "sub", "neg", "mul", "axpy"))
+
+
+def test_inverse_without_tables_prime_and_degree_one(monkeypatch):
+    # a prime field inverts by pow(x, -1, p), a degree-1 extension by its
+    # base; both must agree with the table fields
+    with monkeypatch.context() as patch:
+        patch.setattr(gf, "TABLE_LIMIT", 1)
+        prime = gf.Field(7)
+        over_prime = gf.Field(7, 1, prime)
+        over_f9 = gf.Field(3, 1, gf.Field(3, 2, gf.Field(3)))
+    for fld, table in ((prime, gf.field(7, 1, 1)),
+                       (over_prime, gf.field(7, 1, 1)),
+                       (over_f9, gf.field(3, 2, 1))):
+        assert not fld.has_tables and fld.order == table.order
+        for a in range(1, fld.order):
+            assert fld.mul(a, fld.inv(a)) == 1
+            assert fld.inv(a) == table.inv(a)
+        with pytest.raises(ZeroDivisionError):
+            fld.inv(0)
+
+
+def test_field_refusals():
+    for p in (1, 4, 9, 15):
+        with pytest.raises(ValueError, match=f"p = {p} is not prime"):
+            gf.Field(p)
+    with pytest.raises(ValueError, match="bad extension degree m = 0"):
+        gf.Field(2, 0, gf.Field(2))
+    # the prime field has no base, so its degree must be 1
+    with pytest.raises(ValueError, match="bad extension degree m = 3"):
+        gf.Field(2, 3)

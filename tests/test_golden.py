@@ -2,9 +2,10 @@
 
 Each case runs ``cli.main`` in process and hashes its stdout, or the file
 that ``--out`` names.  The cases are the README CLI examples, ``il-bounds``,
-``aad-build`` and the GF(7^11) ``dist-design`` of the benchmark's
-``construct`` workload.  A change that alters any printed byte fails here;
-if the change is meant, it records the old and new digests in CHANGES.md.
+``aad-build``, one ``il-sim`` with a fixed error support and the GF(7^11)
+``dist-design`` of the benchmark's ``construct`` workload.  A change that
+alters any printed byte fails here; if the change is meant, it records the
+old and new digests in CHANGES.md.
 Two variants of README examples, with an explicit ``--format json`` and
 with options moved into a ``--config`` file, must print the same bytes.
 """
@@ -88,6 +89,12 @@ GOLDEN = {
         ["aad-build", "--n", "5", "--k", "2", "--q", "11"],
         "201960945d713bf871f333dff021ecdf"
         "d642d2e407a2c97ca00320eae242baec"),
+    "il-sim-fixed-support": (
+        ["--seed", "5", "il-sim", "--kind", "alternant", "--q", "3",
+         "--m", "2", "--n", "8", "--d", "5", "--s", "2", "--trials", "40",
+         "--support-mode", "fixed"],
+        "7dcb7fb1f6520567eafd13bb407111ff"
+        "c3ee74070339d54d32319033294274bf"),
     "dist-design-ell5": (
         ["--seed", "7", "dist-design", "--lengths", "1 3 2 3",
          "--access", ACCESS, "--t", "2", "--rho", "2", "--ell", "5"],

@@ -42,6 +42,34 @@ def test_sample_burst_full_support_and_nonzero_columns():
         assert all(any(col) for col in err.columns)
 
 
+def test_sample_burst_fixed_support():
+    # il-sim --support-mode fixed passes the support 1..t
+    rng = random.Random(3)
+    for t in range(1, 6):
+        err = ildec.sample_burst(F8, 2, 6, t, rng,
+                                 support=list(range(t, 0, -1)))
+        assert err.support == list(range(1, t + 1))
+        assert len(err.columns) == t and all(any(c) for c in err.columns)
+    with pytest.raises(ValueError, match="support size must equal t"):
+        ildec.sample_burst(F8, 2, 6, 3, rng, support=[1, 2])
+
+
+def test_sample_burst_subfield_draws_index_the_base_elements():
+    # base_elements() is range(q), so a draw below q is the element drawn
+    # by indexing them
+    for seed in range(20):
+        got = ildec.sample_burst(F64, 3, 9, 4, random.Random(seed),
+                                 subfield=True)
+        rng, alphabet, columns = random.Random(seed), F64.base_elements(), []
+        rng.sample(range(1, 10), 4)
+        while len(columns) < 4:
+            col = [alphabet[rng.randrange(len(alphabet))] for _ in range(3)]
+            if any(col):
+                columns.append(col)
+        assert got.columns == columns
+        assert all(x < F64.q for col in got.columns for x in col)
+
+
 def test_sample_burst_rejects_s_below_one():
     # with s = 0 every column is empty, so no nonzero column exists
     with pytest.raises(ValueError, match="s = 0"):

@@ -264,3 +264,34 @@ def test_sumrank_bounds_hold_for_lrs_shapes():
 def test_bound_report_log10():
     r = metric.BoundReport("singleton", metric.Fraction(10 ** 50))
     assert abs(r.log10 - 50.0) < 1e-9
+
+
+def test_rank_ball_matches_rank_q_count():
+    # every vector of F_{2^m}^n, counted by its F_2-rank
+    for m in (1, 2, 3):
+        fld = gf.field(2, 1, m)
+        for n in (1, 2, 3):
+            ranks = [gf.rank_q(fld, list(vec))
+                     for vec in itertools.product(fld.elements(), repeat=n)]
+            for radius in range(n + 2):
+                assert metric.rank_ball(n, m, radius, 2) == \
+                    sum(1 for r in ranks if r <= radius)
+
+
+def test_classical_bounds_rank():
+    for q in (2, 3, 4):
+        for m in range(1, 5):
+            for n in range(1, 6):
+                for d in range(1, n + 1):
+                    reports = metric.classical_bounds(metric.RANK, n, d, q, m)
+                    values = {r.name: r.value for r in reports}
+                    assert list(values) == ["singleton", "sphere_packing",
+                                            "gilbert_varshamov"]
+                    # MRD size q^(max(n,m)(min(n,m) - d + 1)); one word
+                    # past d = min(n, m)
+                    k = min(n, m) - d + 1
+                    assert values["singleton"] == \
+                        (q ** (max(n, m) * k) if k >= 1 else 1)
+                    gv = values["gilbert_varshamov"]
+                    assert gv <= values["sphere_packing"]
+                    assert gv <= values["singleton"]

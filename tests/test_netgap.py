@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from skewcodes import netgap
+from skewcodes import gf, netgap
 
+import oracles
 from oracles import bound_consistent
 
 # the dissertation's figure network: (2,1)-N_{12, 8e5, 20} -> alpha = 18
@@ -164,3 +165,62 @@ def test_covering_code_lower_window():
     assert netgap.covering_code_lower(6, 2, 1, 3, 2) == 2 * 2 ** (4 * 2)
     with pytest.raises(ValueError):
         netgap.covering_code_lower(3, 2, 2, 3, 2)
+
+
+def test_least_is_the_first_true_of_a_monotone_predicate():
+    for lo in (1, 2, 3, 7):
+        for first in range(lo, 300):
+            calls = []
+
+            def holds(t):
+                calls.append(t)
+                return t >= first
+            assert netgap._least(holds, lo) == first
+            assert min(calls) >= lo
+            assert len(calls) <= 2 * first.bit_length() + 1
+
+
+def _outcome(fn, params):
+    try:
+        return fn(params)
+    except ValueError as exc:
+        return f"refused: {exc}"
+
+
+def test_gap_bounds_match_scan_oracle():
+    # the prime-power scan and the t counts that the least-integer searches
+    # replaced, refusals included; q does not enter gap_bounds
+    count = refused = 0
+    for h in range(1, 10):
+        for r in (1, 2, 5, 30, 1000, 20000):
+            for alpha in (2, 3, 5, 8):
+                for ell in (1, 2, 3):
+                    for eps in range(4):
+                        p = netgap.CombNetParams(h=h, r=r, alpha=alpha,
+                                                 ell=ell, eps=eps, q=2)
+                        got = _outcome(netgap.gap_bounds, p)
+                        assert got == _outcome(oracles.gap_bounds, p), p
+                        count += 1
+                        refused += isinstance(got, str)
+    assert count == 2592 and 0 < refused < count
+
+
+def test_necessary_search_is_logarithmic_in_r(monkeypatch):
+    # the scan made 27,059 calls already at r = 10^6
+    calls = []
+    holds = netgap._necessary_holds
+    monkeypatch.setattr(netgap, "_necessary_holds",
+                        lambda *args: calls.append(args) or holds(*args))
+    p = netgap.CombNetParams(h=2, r=10 ** 12, alpha=3, ell=1, eps=0, q=2)
+    res = netgap.gap_bounds(p)
+    assert len(calls) < 1000
+    assert gf.prime_power(res["A_value"]) is not None
+    assert holds(p, 2, res["t_A"]) and not holds(p, 2, res["t_A"] - 1)
+
+
+def test_gap_bounds_refuses_beyond_miller_rabin_range():
+    # the t = 1 threshold is a 29-digit integer; its next prime power needs
+    # a primality proof that Miller-Rabin to 13 bases does not give
+    p = netgap.CombNetParams(h=2, r=10 ** 30, alpha=3, ell=1, eps=0, q=2)
+    with pytest.raises(ValueError, match="deterministic Miller-Rabin"):
+        netgap.gap_bounds(p)

@@ -348,8 +348,7 @@ def test_lrs_fail_prob_value():
 
 
 def test_curves_through_count_and_size():
-    field = gf.field(2, 3, 1)
-    curves = qlrs.curves_through(field, (0, 0))
+    curves = qlrs.curves_through(qlrs.QlrsParams(3, 1), (0, 0))
     assert len(curves) == 64
     assert all(len(c) == 7 for c in curves)
     assert len({tuple(c) for c in curves}) == 64
@@ -365,6 +364,6 @@ def test_enumerations_refused_beyond_guard():
         with pytest.raises(ValueError, match="q\\^2 monomials"):
             fn(qlrs.QlrsParams(12, 16))
     with pytest.raises(ValueError, match="curve cells"):
-        qlrs.curves_through(gf.field(2, 8, 1), (0, 0))
+        qlrs.curves_through(qlrs.QlrsParams(8, 2), (0, 0))
     with pytest.raises(ValueError, match="curve cells"):
         qlrs.simulate_local(qlrs.QlrsParams(8, 2), 0.1, 10, random.Random(0))
