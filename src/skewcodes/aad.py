@@ -6,8 +6,9 @@ size q^(n-2k) and, for k in {1, 2}, an [n,k,L]_q-AAD family with
 L(n,1) = n-1 and L(n,2) = 1 + 2(n-2)(2n-6).
 
 Verification works in the quotient by each subspace: u + S_i meets S_j iff
-u lies in S_i + S_j, which depends only on the coset of u modulo S_i, so
-one count per coset of S_i decides every u in it.
+u lies in S_i + S_j, which depends only on the line through the coset of u
+modulo S_i, so one count per line of cosets of S_i decides every u on it:
+at most (q^k - 1)/(q - 1) lines per pair (i, j).
 """
 
 from collections import Counter, defaultdict
@@ -96,23 +97,16 @@ def construct(n, k, q):
 
 
 def verify_spread(family):
-    """All pairs of subspaces intersect trivially (stacked rank 2k): each
-    generator has rank k, and no normalised word (first nonzero coordinate
-    1) lies in two spans.  Sorted by pivot, the echelon rows b_1..b_k give
-    those of one span as b_i + span(b_(i+1), ..., b_k)."""
+    """All pairs of subspaces intersect trivially (stacked rank 2k): the
+    spans hold size * (q^k - 1)/(q - 1) distinct lines (gf.lines).  Each
+    of the size generators has k rows, so this many lines exist only when
+    every span has rank k and no line lies in two spans."""
     if family.size < 2:
         return True
-    field, seen = family.field, set()
-    for rows in family.generators:
-        basis = [row for _, row in sorted(gf.echelon(field, rows))]
-        if len(basis) != family.k:
-            return False
-        words = {tuple(word) for i, row in enumerate(basis)
-                 for word in gf.span(field, basis[i + 1:], offset=row)}
-        if not seen.isdisjoint(words):
-            return False
-        seen |= words
-    return True
+    field, q, k = family.field, family.field.order, family.k
+    words = {tuple(word) for rows in family.generators
+             for word in gf.lines(field, rows)}
+    return len(words) == family.size * (q ** k - 1) // (q - 1)
 
 
 def _reducer(field, rows):
@@ -138,17 +132,17 @@ def _reducer(field, rows):
 
 
 def _coset_table(family, i, reduce):
-    """For each nonzero coset u + S_i, the number of j != i whose S_j it
-    meets.  u + S_i meets S_j iff u lies in S_i + S_j, whose cosets are the
-    words of span(reduce(S_j)); the set counts each coset once per j even
+    """For each line of nonzero cosets u + S_i, named by its normalised
+    word, the number of j != i whose S_j its cosets meet.  u + S_i meets
+    S_j iff u lies in S_i + S_j, whose cosets are the words of
+    span(reduce(S_j)); gf.lines counts each line of them once per j, also
     when the reduced rows are dependent (S_i and S_j intersect)."""
     field = family.field
     table = Counter()
     for j, rows in enumerate(family.generators):
         if j != i:
-            words = gf.span(field, [reduce(r) for r in rows])
-            table.update(set(map(tuple, words)))
-    del table[reduce((0,) * family.n)]
+            reduced = [reduce(r) for r in rows]
+            table.update(map(tuple, gf.lines(field, reduced)))
     return table
 
 
@@ -156,12 +150,14 @@ def verify_aad(family, l_bound, mode="exhaustive", samples=2000, rng=None):
     """(u + S_i) meets at most l_bound other subspaces, for all (i, u).
 
     The coset u + S_i meets S_j iff u lies in S_i + S_j, which depends on u
-    only through its coset modulo S_i.  So both modes reduce modulo S_i
-    (by one echelon basis of S_i) and count, per coset, the j != i with the
-    coset in the image of S_j: q^k words per ordered pair.  Exhaustive mode
-    checks every coset of every i (None below); sample mode draws (i, u)
-    with u outside S_i and checks the drawn cosets.  One table is alive at
-    a time.
+    only through its coset modulo S_i, and only through the line of that
+    coset.  So both modes reduce modulo S_i (by one echelon basis of S_i)
+    and count once per line of cosets, named by its normalised word, the
+    j != i with the line in the image of S_j: at most (q^k - 1)/(q - 1)
+    lines per ordered pair.  Exhaustive mode checks every line of cosets
+    of every i (None below); sample mode draws (i, u) with u outside S_i
+    and checks the lines of the drawn cosets.  One table is alive at a
+    time.
     """
     field = family.field
     n = family.n
@@ -185,7 +181,8 @@ def verify_aad(family, l_bound, mode="exhaustive", samples=2000, rng=None):
                 coset = reducers[i]([rng.randrange(q) for _ in range(n)])
                 if any(coset):
                     break
-            drawn[i].append(coset)
+            # the drawn coset's line, named by its normalised word
+            drawn[i].append(tuple(next(gf.lines(field, [coset]))))
     else:
         raise ValueError(f"unknown mode {mode!r}")
     for i, cosets in drawn.items():

@@ -1013,6 +1013,24 @@ def span(field, rows, offset=None):
     return extend(list(offset), 0)
 
 
+def lines(field, rows):
+    """Yield each line (one-dimensional subspace) of the row span once, as
+    its normalised word: the one whose first nonzero coordinate is 1.
+
+    Sorted by pivot, the rows b_1..b_r of one echelon basis are zero left
+    of their pivots, and b_i is 1 at its pivot, where every later row is 0.
+    A nonzero word sum c_j*b_j whose first nonzero c is c_i is therefore 0
+    left of b_i's pivot and c_i there, so it is normalised iff c_i = 1: the
+    normalised words are the words of b_i + span(b_(i+1), ..., b_r), each
+    once.  Dependent rows add no basis row, so no line twice, and the zero
+    word never appears.  A span of rank r has (q^r - 1)/(q - 1) lines.
+    Each yielded word is a new list.
+    """
+    basis = [row for _, row in sorted(echelon(field, rows))]
+    for i, row in enumerate(basis):
+        yield from span(field, basis[i + 1:], offset=row)
+
+
 def echelon(field, rows):
     """An echelon basis of the row span, as (pivot column, row) pairs in
     insertion order.

@@ -33,12 +33,11 @@ def _hamming_k(q, n, d):
     return k
 
 def _griesmer_k(q, n, d):
-    k = 0
-    while True:
-        need = sum(-(-d // q ** i) for i in range(k + 1))
-        if need > n:
-            return k
+    k, need = 0, d
+    while need <= n:
         k += 1
+        need += -(-d // q ** k)
+    return k
 
 def _plotkin_k(q, n, d):
     # shorten to n' = min(n, ceil(dq/(q-1)) - 1), so d <= n' < dq/(q-1) and

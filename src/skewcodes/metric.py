@@ -75,8 +75,8 @@ def min_distance_bruteforce(field, generator_rows, metric=HAMMING,
     """Minimum weight over the codewords of all nonzero messages.
 
     Dependent rows encode some nonzero message as the zero word, so the
-    result is then 0.  Otherwise only projective messages (first nonzero
-    entry 1) are enumerated: every metric here is invariant under nonzero
+    result is then 0.  Otherwise one codeword per line of the code is
+    weighed (gf.lines): every metric here is invariant under nonzero
     scalars, since multiplying by a in F_{q^m}^* is an F_q-linear bijection
     and keeps each block's rank.
     """
@@ -89,13 +89,12 @@ def min_distance_bruteforce(field, generator_rows, metric=HAMMING,
     if gf.rank(field, generator_rows) < k:
         return 0
     best = None
-    for i, lead in enumerate(generator_rows):
-        for word in gf.span(field, generator_rows[i + 1:], offset=lead):
-            w = weight(field, word, metric, partition)
-            if best is None or w < best:
-                best = w
-                if best == 1:
-                    return best
+    for word in gf.lines(field, generator_rows):
+        w = weight(field, word, metric, partition)
+        if best is None or w < best:
+            best = w
+            if best == 1:
+                return best
     return best
 
 

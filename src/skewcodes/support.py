@@ -130,9 +130,13 @@ def pad_pattern(pattern):
     Greedy over j = 1..n.  Adding j to Z_i only shrinks Y_i, so only the
     surplus anchored at row i can fall, and with k rows it stays >= n - k
     iff every column of Z_i stays matched (see _anchored_surplus); _pad_row
-    keeps one such matching per row.
+    keeps one such matching per row.  With k <= n this pads every row, so
+    a row left short is a bug; k > n is refused.
     """
     k = pattern.k
+    if k > pattern.n:
+        raise ValueError(f"a pattern of k = {k} rows pads only when "
+                         f"k <= n = {pattern.n}")
     violation = gm_check(pattern)
     if violation is not None:
         raise ValueError(f"GM condition violated by rows {violation}")
@@ -141,7 +145,7 @@ def pad_pattern(pattern):
         if len(zeros[i]) < k - 1:
             _pad_row(zeros, pattern.n, i)
         if len(zeros[i]) != k - 1:
-            raise ValueError(f"could not pad row {i + 1} to size {k - 1}")
+            raise AssertionError(f"could not pad row {i + 1} to size {k - 1}")
     return ZeroPattern(pattern.n, zeros)
 
 

@@ -6,6 +6,7 @@ faster; the tests compare the two.
 
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 from skewcodes import (gf, grscode, ilbounds, lrs, metric, netgap, skew,
@@ -512,6 +513,9 @@ def pad_pattern(pattern):
     greedy over j = 1..n, keeping j in Z_i iff the surplus anchored at
     row i stays >= n - k."""
     k, n = pattern.k, pattern.n
+    if k > n:
+        raise ValueError(f"a pattern of k = {k} rows pads only when "
+                         f"k <= n = {n}")
     zeros = [set(z) for z in pattern.zeros]
     for i in range(k):
         surplus, omega = anchored_surplus(zeros, n, i)
@@ -619,3 +623,27 @@ def verify_spread(family):
     subspaces have rank 2k."""
     return all(gf.rank(family.field, g1 + g2) == 2 * family.k
                for g1, g2 in itertools.combinations(family.generators, 2))
+
+
+def coset_table(family, i, reduce):
+    """aad._coset_table word by word: for each nonzero coset u + S_i, the
+    number of j != i whose S_j it meets, from all q^k words of every
+    reduced S_j; the set counts each coset once per j even when the
+    reduced rows are dependent."""
+    field = family.field
+    table = Counter()
+    for j, rows in enumerate(family.generators):
+        if j != i:
+            words = gf.span(field, [reduce(r) for r in rows])
+            table.update(set(map(tuple, words)))
+    del table[reduce((0,) * family.n)]
+    return table
+
+
+def griesmer_k(q, n, d):
+    """ilbounds._griesmer_k with the Griesmer sum taken afresh for each k:
+    the least k with sum_{i <= k} ceil(d / q^i) > n."""
+    k = 0
+    while sum(-(-d // q ** i) for i in range(k + 1)) <= n:
+        k += 1
+    return k

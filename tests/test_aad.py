@@ -110,6 +110,25 @@ def _negative_control_family():
     return aad.AadFamily(field, 4, 1, gens)
 
 
+@pytest.mark.parametrize("family", [aad.construct(4, 1, 5),
+                                    aad.construct(5, 1, 7),
+                                    aad.construct(5, 2, 11),
+                                    _negative_control_family()],
+                         ids=["construct-4-1-5", "construct-5-1-7",
+                              "construct-5-2-11", "negative-control"])
+def test_line_table_matches_full_word_table(family):
+    # every nonzero coset counts as its line's normalised word does
+    field = family.field
+    for i, gen in enumerate(family.generators):
+        reduce = aad._reducer(field, gen)
+        lines = aad._coset_table(family, i, reduce)
+        words = oracles.coset_table(family, i, reduce)
+        for coset, count in words.items():
+            scale = field.inv(next(x for x in coset if x))
+            assert lines[tuple(field.mul(scale, x) for x in coset)] == count
+        assert all(lines[c] == words[c] for c in lines)
+
+
 def _smallest_l_by_rank(family):
     """Largest count, over i and u outside S_i, of the j != i with
     (u + S_i) meeting S_j, i.e. u in S_i + S_j, decided by rank tests."""

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from skewcodes import aad, cli, gf, metric
+from skewcodes import aad, cli, gf, metric, support
 
 
 def run_cli(args, timeout=300):
@@ -111,6 +111,18 @@ def test_support_build_rejects_pattern_of_other_length(capsys, n, zeros,
     out, err = capsys.readouterr()
     assert out == ""
     assert named in err
+
+
+def test_support_build_unpadded_row_is_internal(monkeypatch, capsys):
+    # a GM pattern can always be padded, so a row left short is a bug: it
+    # used to exit 2 and print "infeasible"
+    monkeypatch.setattr(support, "_pad_row", lambda zeros, n, i: None)
+    argv = ["--seed", "1", "support-build", "--n", "3", "--zeros", "; 2",
+            "--q", "3", "--m", "2", "--lengths", "2 1"]
+    assert cli.main(argv) == cli.EXIT_INTERNAL
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "internal: could not pad row 1 to size 1" in err
 
 
 def test_support_build_requires_seed():

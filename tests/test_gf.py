@@ -901,6 +901,32 @@ def test_span_matches_product_sum(data):
     assert all(w is not offset for w in words)
 
 
+LINE_FIELDS = (gf.field(2, 1, 1), gf.field(3, 1, 1), F4, gf.field(5, 1, 1),
+               F8, F9)
+
+
+@settings(max_examples=100)
+@given(st.data())
+def test_lines_are_the_normalised_words_of_the_span(data):
+    fld = data.draw(st.sampled_from(LINE_FIELDS), label="field")
+    q = fld.order
+    n = data.draw(st.integers(1, 4), label="n")
+    vec = st.lists(st.integers(0, q - 1), min_size=n, max_size=n)
+    rows = data.draw(st.lists(vec, max_size=3), label="rows")
+    if rows and data.draw(st.booleans(), label="dependent"):
+        rows.append([fld.add(a, b) for a, b in zip(rows[0], rows[-1])])
+    if data.draw(st.booleans(), label="zero row"):
+        rows.insert(data.draw(st.integers(0, len(rows))), [0] * n)
+    before = copy.deepcopy(rows)
+    words = [tuple(w) for w in gf.lines(fld, rows)]
+    assert rows == before
+    assert len(set(words)) == len(words)
+    assert all(next(x for x in w if x) == 1 for w in words)
+    assert set(words) == {tuple(w) for w in gf.span(fld, rows)
+                          if any(w) and next(x for x in w if x) == 1}
+    assert len(words) == (q ** gf.rank(fld, rows) - 1) // (q - 1)
+
+
 # fields of every closure family of Field._bind_ops: product tables up to
 # 2^8 elements (odd characteristic with even and odd dim, p = 5, the tower
 # GF(9^2); characteristic 2 over GF(2) and the tower GF(4^3)), a prime

@@ -100,6 +100,20 @@ GOLDEN = {
          "--access", ACCESS, "--t", "2", "--rho", "2", "--ell", "5"],
         "de55e3fdac6f5ca845733f6ecfd99737"
         "140d936cee5054cfd7313f40bbeb747d"),
+    "aad-verify-l1": (
+        ["aad-verify", "--n", "4", "--k", "1", "--q", "5", "--l-bound", "1"],
+        "06547261d04a74fa8f3c977538a738ff"
+        "a7c7bb8eff07026c42e358050ac3b629"),
+    "aad-verify-sample-k1": (
+        ["--seed", "3", "aad-verify", "--n", "5", "--k", "1", "--q", "7",
+         "--mode", "sample", "--samples", "300"],
+        "046e0d56d157190535df1e7cb8a5a70d"
+        "0326f5747d4103d0c00dd630971b800b"),
+    "aad-verify-sample-k2-l3": (
+        ["--seed", "5", "aad-verify", "--n", "5", "--k", "2", "--q", "11",
+         "--mode", "sample", "--samples", "200", "--l-bound", "3"],
+        "f377125a52db6a8ba1836aa86ce0fda6"
+        "3d1715fe65904e1564b072c0f53c4a22"),
 }
 
 

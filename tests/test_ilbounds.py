@@ -25,6 +25,14 @@ def test_kopt_singleton_policy():
             assert full <= single
 
 
+def test_griesmer_running_sum_matches_resummed():
+    for q in (2, 3, 4, 5, 7, 256):
+        for n in range(1, 41):
+            for d in range(1, n + 1):
+                assert (ilbounds._griesmer_k(q, n, d)
+                        == oracles.griesmer_k(q, n, d)), (q, n, d)
+
+
 def test_kopt_dominates_real_codes():
     # known optimal binary codes: [7,4,3] Hamming, [23,12,7] Golay
     assert ilbounds.kopt(2, 7, 3) >= 4

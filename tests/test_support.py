@@ -145,6 +145,9 @@ def test_pad_pattern():
     grown = support.pad_pattern(partial)
     for old, new in zip(partial.zeros, grown.zeros):
         assert old <= new
+    # GM holds, but two rows cannot both hold the one column of n = 1
+    with pytest.raises(ValueError, match="k <= n = 1"):
+        support.pad_pattern(support.ZeroPattern(1, [set(), set()]))
 
 
 def _pad_outcome(pad, pattern):
