@@ -151,29 +151,32 @@ def verify_aad(family, l_bound, mode="exhaustive", samples=2000, rng=None):
 
     The coset u + S_i meets S_j iff u lies in S_i + S_j, which depends on u
     only through its coset modulo S_i, and only through the line of that
-    coset.  So both modes reduce modulo S_i (by one echelon basis of S_i)
-    and count once per line of cosets, named by its normalised word, the
-    j != i with the line in the image of S_j: at most (q^k - 1)/(q - 1)
-    lines per ordered pair.  Exhaustive mode checks every line of cosets
-    of every i (None below); sample mode draws (i, u) with u outside S_i
-    and checks the lines of the drawn cosets.  One table is alive at a
-    time.
+    coset.  So both modes reduce modulo S_i (by one echelon basis of S_i,
+    one _reducer per i for the draws and the tables) and count once per
+    line of cosets, named by its normalised word, the j != i with the line
+    in the image of S_j: at most (q^k - 1)/(q - 1) lines per ordered pair.
+    Exhaustive mode checks every line of cosets of every i (None below);
+    sample mode draws (i, u) with u outside S_i and checks the lines of the
+    drawn cosets.  One table is alive at a time.
     """
     field = family.field
     n = family.n
     q = field.order
     if mode == "exhaustive":
         check_exhaustive_guard(n, q)
+    elif mode != "sample":
+        raise ValueError(f"unknown mode {mode!r}")
+    elif samples < 1:
+        raise ValueError(f"samples = {samples} must be >= 1")
+    elif rng is None:
+        raise ValueError("sample mode needs an rng")
+    elif family.k >= n:
+        raise ValueError(f"sample mode needs k < n: no u lies outside "
+                         f"S_i when k = {family.k} and n = {n}")
+    reducers = [_reducer(field, rows) for rows in family.generators]
+    if mode == "exhaustive":
         drawn = dict.fromkeys(range(family.size))
-    elif mode == "sample":
-        if samples < 1:
-            raise ValueError(f"samples = {samples} must be >= 1")
-        if rng is None:
-            raise ValueError("sample mode needs an rng")
-        if family.k >= n:
-            raise ValueError(f"sample mode needs k < n: no u lies outside "
-                             f"S_i when k = {family.k} and n = {n}")
-        reducers = [_reducer(field, rows) for rows in family.generators]
+    else:
         drawn = defaultdict(list)
         for _ in range(samples):
             i = rng.randrange(family.size)
@@ -183,11 +186,8 @@ def verify_aad(family, l_bound, mode="exhaustive", samples=2000, rng=None):
                     break
             # the drawn coset's line, named by its normalised word
             drawn[i].append(tuple(next(gf.lines(field, [coset]))))
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
     for i, cosets in drawn.items():
-        table = _coset_table(family, i,
-                             _reducer(field, family.generators[i]))
+        table = _coset_table(family, i, reducers[i])
         if any(table[c] > l_bound
                for c in (table if cosets is None else cosets)):
             return False

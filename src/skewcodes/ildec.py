@@ -7,16 +7,19 @@ takes the least solvable t*: the length of the shortest linear recurrence
 that generates every syndrome row, which multi-sequence shift-register
 synthesis finds in O(s (d-1)^2) field operations.  The synthesis ends
 with that recurrence, a connection polynomial lambda (lambda_0 = 1), so
-x_l = lambda_{t*-l} solves the system at t* without a solver; the solution
-is unique iff rank S(t*) = t*.  x defines the monic g(y) = y^t* +
-sum x_l y^l whose roots must be t* distinct code locators.  A Chien search
-finds them: t* + 1 row-kernel calls over the rows of H diag(v) evaluate
-v_p g(alpha_p) at every locator at once.  The error columns then solve the
-square system sum_p v_p alpha_p^r E_{i,p} = s_{i,r}, r < t*, at those
-locators: it is invertible because the locators are distinct and nonzero,
-and the key equation makes the remaining syndromes agree, so its solution
-is the one Forney's formula gives.  A root outside the locator set or a
-non-unique solution is a decoding failure, never an exception.
+x_l = lambda_{t*-l} solves the system at t* without a solver.  The
+solution is unique iff rank S(t*) = t*, which the synthesis's
+linear-complexity profile decides with no rank computation: iff every
+prefix of P terms, d-1-t* <= P < d-1, needs a recurrence longer than
+P-(d-1-t*).  x defines the monic g(y) = y^t* + sum x_l y^l whose roots
+must be t* distinct code locators.  A Chien search finds them: t* + 1
+row-kernel calls over the rows of H diag(v) evaluate v_p g(alpha_p) at
+every locator at once.  The error columns then solve the square system
+sum_p v_p alpha_p^r E_{i,p} = s_{i,r}, r < t*, at those locators: it is
+invertible because the locators are distinct and nonzero, and the key
+equation makes the remaining syndromes agree, so its solution is the one
+Forney's formula gives.  A root outside the locator set or a non-unique
+solution is a decoding failure, never an exception.
 """
 
 from dataclasses import dataclass
@@ -98,8 +101,8 @@ def _key_system(syns, t):
 
 
 def _recurrence_length(field, syns):
-    """(lam, length) of the shortest linear recurrence that generates every
-    row.
+    """(lam, length, profile) of the shortest linear recurrence that
+    generates every row, and the linear-complexity profile of the rows.
 
     Multi-sequence shift-register synthesis (Feng and Tzeng 1991; Schmidt,
     Sidorenko and Bossert 2009): time runs first, then each row in turn.
@@ -113,10 +116,27 @@ def _recurrence_length(field, syns):
     which S(t) x = -T(t) is solvable (0 for zero rows, N when no t < N is),
     and lam has no nonzero entry past index length and obeys
     sum_i lam[i] syn[n - i] = 0 for length <= n < N on every row.
+
+    The synthesis is sequential: after time P - 1 it has run exactly as it
+    would on the rows cut to their first P terms, so its length then is
+    L(P), the shortest joint recurrence length that generates those terms.
+    profile[P] = L(P) for 0 <= P <= N, and profile[N] = length.
+
+    The profile decides uniqueness: rank S(t) = t iff L(P) > P - (N - t)
+    for every P with N - t <= P < N (_unique).  If x != 0 is in the kernel
+    of S(t) and its top nonzero index is L' < t, then lam_i = x_{L'-i} /
+    x_{L'} is a length-L' recurrence that generates the first
+    P = N - t + L' terms of every row, so L(P) <= P - (N - t).
+    Conversely a shortest recurrence for those P terms, padded to length
+    L' = P - (N - t) and reversed, is such an x, with x_{L'} = 1.
+    Massey's lemma (1969) gives the case 2t* <= N as a corollary: if
+    L(P) <= P - (N - t*) < t* = L(N), that register fails at some time
+    P' >= P on some row that lam generates, so t* >= P' + 1 - L(P)
+    >= N - t* + 1.
     """
     add, mul, neg, inv, axpy = (field.add, field.mul, field.neg, field.inv,
                                 field.axpy)
-    lam, length = [1], 0
+    lam, length, profile = [1], 0, [0]
     aux = [([1], 1, -1, 0) for _ in syns]
     for n in range(len(syns[0])):
         for l, syn in enumerate(syns):
@@ -134,7 +154,16 @@ def _recurrence_length(field, syns):
                 aux[l] = (lam, delta, n, length)
                 length = shift + lb
             lam = new
-    return lam, length
+        profile.append(length)
+    return lam, length, profile
+
+
+def _unique(profile, t):
+    """rank S(t) = t, read off the linear-complexity profile of rows of
+    length N = len(profile) - 1: no P in [N - t, N) has
+    L(P) <= P - (N - t) (the criterion of _recurrence_length)."""
+    k = len(profile) - 1 - t
+    return all(profile[p] > p - k for p in range(k, len(profile) - 1))
 
 
 def joint_decode(rows, spec):
@@ -145,7 +174,10 @@ def joint_decode(rows, spec):
     in t (if g works at t, y g works at t + 1), so t* beyond the radius
     means no t within it is solvable.  The synthesis's connection polynomial
     lam gives the solution x_l = lam[t* - l], hence the locator polynomial
-    g; it is the only solution iff rank S(t*) = t*, the rank oracle's test.
+    g; it is the only solution iff rank S(t*) = t*, the rank oracle's test,
+    which _unique reads off the synthesis's linear-complexity profile: no
+    P in [d-1-t*, d-1) has L(P) <= P - (d-1-t*).  It always holds when
+    2 t* <= d - 1 (Massey).  Rows must be s >= 1 words of length n.
 
     No error column at the t* found locators is zero.  The key equation says
     each syndrome row obeys the recurrence whose characteristic polynomial
@@ -158,15 +190,20 @@ def joint_decode(rows, spec):
     """
     field = spec.field
     s = len(rows)
+    if s == 0:
+        raise ValueError("joint_decode needs at least one row")
+    if any(len(row) != spec.n for row in rows):
+        raise ValueError(f"row lengths {sorted({len(r) for r in rows})}: "
+                         f"every row must have the code length n = {spec.n}")
     syns = syndromes(field, rows, spec)
     if all(all(x == 0 for x in syn) for syn in syns):
         return DecodeOutcome(SUCCESS, [list(r) for r in rows], 0)
     tmax = t_max_radius(spec.d, s)
-    lam, t_star = _recurrence_length(field, syns)
+    lam, t_star, profile = _recurrence_length(field, syns)
     if t_star > tmax:
         return DecodeOutcome(FAILURE, None, None, "no solvable key equation "
                              f"within the radius {tmax}")
-    if gf.rank(field, _key_system(syns, t_star)) < t_star:
+    if not _unique(profile, t_star):
         return DecodeOutcome(FAILURE, None, t_star,
                              "non-unique key-equation solution")
     # x_l = lam[t* - l], lam zero-padded to t* + 1 entries

@@ -1,9 +1,10 @@
 import dataclasses
+import hashlib
 import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from skewcodes import gf, grscode, ildec
 
@@ -30,6 +31,19 @@ def random_codeword_rows(field, spec, s, rng):
                     word[j] = field.add(word[j], field.mul(c, g))
         rows.append(word)
     return rows
+
+
+def _combinations(fld, basis, count, rng):
+    """count random nonzero combinations of the basis columns."""
+    columns = []
+    while len(columns) < count:
+        col = [0] * len(basis[0])
+        for b in basis:
+            c = rng.randrange(fld.order)
+            col = [fld.add(x, fld.mul(c, y)) for x, y in zip(col, b)]
+        if any(col):
+            columns.append(col)
+    return columns
 
 
 def test_sample_burst_full_support_and_nonzero_columns():
@@ -120,6 +134,21 @@ def test_zero_error_returns_word_unchanged():
     out = ildec.joint_decode(rows, spec)
     assert out.tag == ildec.SUCCESS and out.t_star == 0
     assert out.decoded == rows
+
+
+@pytest.mark.parametrize("rows,match", [
+    ([], "at least one row"),
+    ([[0] * 13, [0] * 13], r"row lengths \[13\]: every row .* n = 15"),
+    ([[1] + [0] * 16], r"row lengths \[17\]: every row .* n = 15"),
+    ([[0] * 16 + [1]], r"row lengths \[17\]: every row .* n = 15"),
+    ([[0] * 15, [0] * 14], r"row lengths \[14, 15\]: "),
+])
+def test_joint_decode_rejects_malformed_rows(rows, match):
+    # these once returned success with a word of the wrong shape, or raised
+    # IndexError on a nonzero entry past n
+    spec = grscode.default_spec(gf.field(2, 1, 4), 15, 9)
+    with pytest.raises(ValueError, match=match):
+        ildec.joint_decode(rows, spec)
 
 
 def test_single_row_classical_correction_vs_nearest_codeword():
@@ -329,13 +358,71 @@ def test_recurrence_length_is_least_solvable_t(data):
             for _ in range(data.draw(st.integers(0, 2))):
                 row[data.draw(st.integers(0, length - 1))] = data.draw(elem)
         syns.append(row)
-    lam, length = ildec._recurrence_length(fld, syns)
+    lam, length, profile = ildec._recurrence_length(fld, syns)
     assert length == _scan_recurrence_length(fld, syns)
+    # the profile: its entry P is the answer on the rows cut to P terms
+    assert len(profile) == len(syns[0]) + 1 and profile[-1] == length
+    assert profile == [_scan_recurrence_length(fld, [syn[:p] for syn in syns])
+                       for p in range(len(syns[0]) + 1)]
     # lam is the recurrence itself: x_l = lam[length - l] solves the system
     assert lam[0] == 1 and not any(lam[length + 1:])
     x = (lam + [0] * length)[length:0:-1]
     assert mat_vec(fld, ildec._key_system(syns, length), x) == \
         _neg_rhs(fld, syns, length)
+
+
+def _rank_verdicts(fld, syns):
+    """(profile verdict, rank verdict) at every t in 1..N."""
+    *_, profile = ildec._recurrence_length(fld, syns)
+    return [(ildec._unique(profile, t),
+             gf.rank(fld, ildec._key_system(syns, t)) == t)
+            for t in range(1, len(syns[0]) + 1)]
+
+
+@pytest.mark.parametrize("q,s", [(2, 2), (3, 1)])
+def test_profile_uniqueness_matches_rank_exhaustive(q, s):
+    # every s x N syndrome matrix over GF(q), N <= 6, at every t, t* included
+    fld = gf.field(q, 1, 1)
+    seen = set()
+    for n in range(1, 7):
+        for flat in itertools.product(range(q), repeat=s * n):
+            syns = [list(flat[i * n:(i + 1) * n]) for i in range(s)]
+            t_star = ildec._recurrence_length(fld, syns)[1]
+            for t, (got, want) in enumerate(_rank_verdicts(fld, syns), 1):
+                assert got == want, (syns, t)
+                if t == t_star:
+                    seen.add((got, 2 * t <= n))
+    # both verdicts at t*, the non-unique ones only past (d - 1) / 2; one
+    # row is never unique there, as S(t*) has N - t* < t* rows
+    assert seen == {(True, True), (False, False)} | (
+        {(True, False)} if s > 1 else set())
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_profile_uniqueness_matches_rank_on_bursts(data):
+    fld = data.draw(st.sampled_from(PROPERTY_FIELDS), label="field")
+    n = data.draw(st.integers(3, min(fld.order - 1, 15)), label="n")
+    d = data.draw(st.integers(3, n), label="d")
+    s = data.draw(st.integers(1, 3), label="s")
+    t = data.draw(st.integers(1, min(n, ildec.t_max_radius(d, s) + 2)),
+                  label="t")
+    errors = data.draw(st.sampled_from(("subfield", "full", "rank one")),
+                       label="errors")
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32), label="seed"))
+    spec = grscode.default_spec(fld, n, d)
+    err = ildec.sample_burst(fld, s, n, t, rng, subfield=errors == "subfield")
+    if errors == "rank one":
+        err.columns = _combinations(fld, err.columns[:1], t, rng)
+    syns = ildec.syndromes(fld, err.full_matrix(s, n), spec)
+    t_star = ildec._recurrence_length(fld, syns)[1]
+    verdicts = _rank_verdicts(fld, syns)
+    assert all(got == want for got, want in verdicts)
+    if t_star:
+        unique = verdicts[t_star - 1][0]
+        # Massey's lemma: non-unique only past 2 t* = d - 1
+        assert unique or 2 * t_star > d - 1
+        event(f"unique={unique}, 2t* <= d-1: {2 * t_star <= d - 1}")
 
 
 # ---------------------------------------------------------------------------
@@ -509,3 +596,60 @@ def test_locator_roots_match_horner(data):
             assert ildec._locator_roots(fld, spec, x, t) == sorted(picks)
     assert ildec._locator_roots(fld, spec, x, t) == \
         locator_roots(fld, spec, x, t)
+
+
+# ---------------------------------------------------------------------------
+# a seeded grid of decodes whose (tag, t*, reason) are pinned: the il-sim
+# outputs show only success rates, so a swap between two failure reasons
+# would pass them unseen
+
+# (p, e, m) of the field, n, d, s, and bursts per (t, kind)
+OUTCOME_GRID = (((2, 1, 4), 15, 9, 2, 20), ((3, 1, 2), 8, 7, 5, 20),
+                ((2, 1, 8), 255, 33, 3, 3))
+# recorded from the decoder that decided uniqueness by gf.rank
+OUTCOME_DIGEST = ("f60161d45538ff304ab569f5462b1c63"
+                  "cdf0222650406cb483c1e9eeae57ea31")
+NONUNIQUE = "non-unique key-equation solution"
+
+
+def _grid_outcomes():
+    """(field, tag, t*, reason) of every decode of the grid: bursts of each
+    weight up to two past the radius, with full-field, subfield, rank-one
+    and rank-two columns (the low-rank ones reach non-unique solutions)."""
+    for seed, (key, n, d, s, trials) in enumerate(OUTCOME_GRID):
+        fld = gf.field(*key)
+        spec = grscode.default_spec(fld, n, d)
+        rng = random.Random(seed)
+        for t in range(1, min(n, ildec.t_max_radius(d, s) + 2) + 1):
+            for kind in ("full", "subfield", "rank one", "rank two"):
+                for _ in range(trials):
+                    err = ildec.sample_burst(fld, s, n, t, rng,
+                                             subfield=kind == "subfield")
+                    if kind == "rank one":
+                        err.columns = _combinations(fld, err.columns[:1], t,
+                                                    rng)
+                    elif kind == "rank two":
+                        err.columns = _combinations(
+                            fld, [err.columns[0], err.columns[-1]], t, rng)
+                    out = ildec.joint_decode(err.full_matrix(s, n), spec)
+                    yield key, out.tag, out.t_star, out.reason
+
+
+def _outcome_digest():
+    outcomes = list(_grid_outcomes())
+    # every field of the grid reaches a non-unique key equation
+    assert {key for key, _, _, reason in outcomes if reason == NONUNIQUE} \
+        == {key for key, *_ in OUTCOME_GRID}
+    text = "\n".join(map(repr, outcomes))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_decode_outcomes_match_the_pinned_digest():
+    assert _outcome_digest() == OUTCOME_DIGEST
+
+
+def test_decoder_computes_no_rank(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the decoder computed a rank")
+    monkeypatch.setattr(gf, "rank", refuse)
+    assert _outcome_digest() == OUTCOME_DIGEST
