@@ -4,6 +4,14 @@ A GRS code of designed distance d is the right kernel of H * diag(v) with
 H[i][j] = alpha_j^i, i in [0, d-2].  Its F_q-subfield subcode is the kernel
 of the coordinate-expanded parity-check matrix; the summed-cardinality
 quantities B^MDS feed the interleaved-decoding bounds.
+
+B^MDS = sum_w b_mds(n, d, w) is the weight enumerator W(x, y) =
+sum_w A_w x^(n-w) y^w of an [n, k] MDS code over F_Q at (Q - 1, q - 1).
+b_mds_total evaluates it by counting, for each coordinate set U, the
+Q^max(0, k - |U|) codewords that vanish on U (any k coordinates are an
+information set): W(x, y) = sum_u C(n, u) y^(n-u) (x - y)^u Q^max(0, k-u)
+(MacWilliams & Sloane 1977, ch. 11), one sum of n + 1 non-negative terms
+in place of a per-weight alternating sum.
 """
 
 import math
@@ -151,6 +159,23 @@ def b_mds(n, d, w, q, m):
 
 
 def b_mds_total(n, d, q, m):
-    """Sum of subfield-subcode cardinalities over all multiplier vectors."""
-    return (q ** m - 1) ** n + sum(b_mds(n, d, w, q, m)
-                                   for w in range(d, n + 1))
+    """Sum of subfield-subcode cardinalities over all multiplier vectors,
+    B^MDS = W(Q - 1, q - 1) for the weight enumerator W(x, y) =
+    sum_w A_w x^(n-w) y^w of an [n, k = n - d + 1] MDS code over F_Q,
+    Q = q^m, by one sum of n + 1 non-negative terms:
+
+        B^MDS = sum_u C(n, u) (q - 1)^(n-u) (Q - q)^u Q^max(0, k-u).
+
+    Proof.  Per coordinate, x^[c_i = 0] y^[c_i != 0] = y + (x - y)[c_i = 0];
+    expanding the product over the coordinates and summing over C gives
+    W(x, y) = sum_U y^(n-|U|) (x - y)^|U| #{c in C : c_U = 0}.  Any k
+    coordinates of an MDS code are an information set, so exactly
+    Q^max(0, k - |U|) codewords vanish on U.  With A_w = mds_weight_enum,
+    both sides are polynomials in x, y and Q that agree at every prime power
+    Q >= n - 1 (where an [n, k] MDS code exists), so they agree identically:
+    the sum equals sum_w b_mds(n, d, w, q, m) also where n > Q + 1 makes
+    mds_weight_enum a formula rather than a count.
+    """
+    Q, k = q ** m, n - d + 1
+    return sum(math.comb(n, u) * (q - 1) ** (n - u) * (Q - q) ** u
+               * Q ** max(0, k - u) for u in range(n + 1))

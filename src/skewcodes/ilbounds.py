@@ -12,25 +12,26 @@ from fractions import Fraction
 
 from . import gf, grscode, metric
 
-KOPT_FULL = "full"            # min(Singleton, Hamming, Griesmer, Plotkin)
-KOPT_SINGLETON = "singleton"
-
 BOUND_NAMES = ("L.RS", "L.A", "L.A1", "L.A2", "L.T", "U")
 
 
 # ---------------------------------------------------------------------------
 # upper bounds on the dimension of a q-ary code: k_q^opt(n, d)
 
+def _log_floor(q, x):
+    """The largest k with q^k <= x, for an integer x >= 1."""
+    k, power = 0, q
+    while power <= x:
+        k += 1
+        power *= q
+    return k
+
 def _singleton_k(q, n, d):
     return n - d + 1
 
 def _hamming_k(q, n, d):
-    t = (d - 1) // 2
-    vol = metric.hamming_ball(n, t, q)
-    k = 0
-    while q ** (k + 1) * vol <= q ** n:
-        k += 1
-    return k
+    vol = metric.hamming_ball(n, (d - 1) // 2, q)
+    return _log_floor(q, q ** n // vol)
 
 def _griesmer_k(q, n, d):
     k, need = 0, d
@@ -45,18 +46,14 @@ def _plotkin_k(q, n, d):
     theta = Fraction(q - 1, q)
     n_prime = min(n, -(-d * q // (q - 1)) - 1)
     size = q ** (n - n_prime) * (Fraction(d) / (d - theta * n_prime))
-    k = 0
-    while q ** (k + 1) <= size:
-        k += 1
-    return k
+    return _log_floor(q, math.floor(size))
 
 
-def kopt(q, n, d, policy=KOPT_FULL):
-    """Upper bound on the dimension of a q-ary [n, ?, d] code."""
+def kopt(q, n, d):
+    """Upper bound on the dimension of a q-ary [n, ?, d] code:
+    min(Singleton, Hamming, Griesmer, Plotkin)."""
     if not 1 <= d <= n:
         raise ValueError("need 1 <= d <= n")
-    if policy == KOPT_SINGLETON:
-        return _singleton_k(q, n, d)
     return min(_singleton_k(q, n, d), _hamming_k(q, n, d),
                _griesmer_k(q, n, d), _plotkin_k(q, n, d))
 
@@ -163,8 +160,8 @@ def _alternant_bounds(inputs):
         # bound on the dimension only widens it
         assert a_w <= b_w and c_w * a_w <= big_b <= c_w * b_w
         full = maximize_convex_sum(a_w, b_w, c_w, big_b, s)
-        single = maximize_convex_sum(
-            a_w, q ** kopt(q, w, d - t, KOPT_SINGLETON), c_w, big_b, s)
+        single = maximize_convex_sum(a_w, q ** (w - (d - t) + 1), c_w,
+                                     big_b, s)
         correction = lines * (c_w + grscode.b_mds(w, d - t, w, q, m)
                               - big_b) - c_w
         weight = Fraction(math.comb(t, w), (q ** m - 1) * (q ** s - 1) ** w)

@@ -582,17 +582,27 @@ def rank_q(field, vector):
     return gf.rank(field.base, gf.expand_matrix(field, vector))
 
 
-def la_terms(inputs, policy, simplified):
+def b_mds_total(n, d, q, m):
+    """grscode.b_mds_total as (q^m - 1)^n plus b_mds summed over the weights
+    w = d..n, each from mds_weight_enum's own alternating sum."""
+    return (q ** m - 1) ** n + sum(grscode.b_mds(n, d, w, q, m)
+                                   for w in range(d, n + 1))
+
+
+def la_terms(inputs, singleton, simplified):
     """One alternant bound by its own pass over the weights w = d-t..t, for
-    t < d: L.A is (KOPT_FULL, False), L.A1 (KOPT_SINGLETON, False) and L.A2
-    (KOPT_FULL, True), which drops the |L_0| correction."""
+    t < d, with B^MDS from b_mds_total above: L.A is (False, False), L.A1
+    (True, False), which bounds each subcode size by the Singleton bound
+    q^(w - (d-t) + 1) in place of q^(k_q^opt), and L.A2 (False, True), which
+    drops the |L_0| correction."""
     q, m, d, s, t = inputs.q, inputs.m, inputs.d, inputs.s, inputs.t
     total = Fraction(0)
     for w in range(d - t, t + 1):
         a_w = q ** max(0, w - (d - t - 1) * m)
-        b_w = q ** ilbounds.kopt(q, w, d - t, policy)
+        b_w = q ** (w - (d - t) + 1 if singleton
+                    else ilbounds.kopt(q, w, d - t))
         c_w = (q ** m - 1) ** w
-        big_b = grscode.b_mds_total(w, d - t, q, m)
+        big_b = b_mds_total(w, d - t, q, m)
         max_sum = ilbounds.maximize_convex_sum(a_w, b_w, c_w, big_b, s)
         if simplified:
             inner = max_sum - c_w
@@ -610,9 +620,9 @@ def all_bounds(inputs):
     passes."""
     alternant = (None, None, None)
     if inputs.t < inputs.d:
-        alternant = (la_terms(inputs, ilbounds.KOPT_FULL, False),
-                     la_terms(inputs, ilbounds.KOPT_SINGLETON, False),
-                     la_terms(inputs, ilbounds.KOPT_FULL, True))
+        alternant = (la_terms(inputs, False, False),
+                     la_terms(inputs, True, False),
+                     la_terms(inputs, False, True))
     return dict(zip(ilbounds.BOUND_NAMES,
                     (ilbounds.bound_l_rs(inputs), *alternant,
                      ilbounds.bound_l_t(inputs), ilbounds.bound_u(inputs))))

@@ -6,7 +6,9 @@ option of the chosen subcommand gets a value from a small pool for its type
 (ints, floats, its choices, or list-like strings).  --out and --config are
 left out, so nothing is written or read.  Each call runs under an alarm
 whose exception is a BaseException, because cli.main turns every Exception
-into exit 3.
+into exit 3.  The alarm fires again every 0.1 s until the call ends: Python
+drops an exception raised inside a gc callback as unraisable, so one alarm
+that lands there would leave the call unbounded.
 """
 
 import argparse
@@ -14,11 +16,13 @@ import contextlib
 import io
 import random
 import signal
+import time
 
 from skewcodes import cli, gf
 
 ARGVS = 300
 ALARM_S = 1
+REARM_S = 0.1
 
 INTS = (-1, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 13, 16, 25, 31, 172)
 FLOATS = ("-0.5", "0", "0.1", "0.5", "0.9", "1", "1.5", "nan")
@@ -72,7 +76,7 @@ def run_with_alarm(argv, seconds):
         raise Timeout
 
     previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(seconds)
+    signal.setitimer(signal.ITIMER_REAL, seconds, REARM_S)
     try:
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(io.StringIO()):
@@ -80,7 +84,7 @@ def run_with_alarm(argv, seconds):
     except Timeout:
         return None
     finally:
-        signal.alarm(0)
+        signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
         for key in set(gf._FIELD_CACHE) - cached:
             del gf._FIELD_CACHE[key]
@@ -99,3 +103,21 @@ def test_fuzzed_argvs_never_exit_internal():
     assert internal == []
     # the pools must reach past argument parsing
     assert codes.count(cli.EXIT_OK) >= ARGVS // 10
+
+
+def test_alarm_fires_again_after_a_lost_timeout(monkeypatch):
+    # a fake cli.main that loses the first Timeout, as a gc callback does,
+    # and then spins for at most 5 s: only a repeated alarm cuts it off
+    def lose_first_timeout(argv):
+        deadline = time.monotonic() + 5
+        try:
+            while time.monotonic() < deadline:
+                pass
+        except Timeout:
+            pass
+        while time.monotonic() < deadline:
+            pass
+        return cli.EXIT_OK
+
+    monkeypatch.setattr(cli, "main", lose_first_timeout)
+    assert run_with_alarm([], ALARM_S) is None

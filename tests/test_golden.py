@@ -1,8 +1,8 @@
 """Golden outputs: the SHA-256 of whole CLI outputs at fixed seeds.
 
 Each case runs ``cli.main`` in process and hashes its stdout, or the file
-that ``--out`` names.  The cases are the README CLI examples, ``il-bounds``,
-``aad-build``, one ``il-sim`` with a fixed error support and the GF(7^11)
+that ``--out`` names.  The cases are the README CLI examples, ``il-bounds``
+at n = 255 and at n = 2000, ``aad-build``, one ``il-sim`` with a fixed error support and the GF(7^11)
 ``dist-design`` of the benchmark's ``construct`` workload.  A change that
 alters any printed byte fails here; if the change is meant, it records the
 old and new digests in CHANGES.md.
@@ -85,6 +85,11 @@ GOLDEN = {
          "--s", "3"],
         "24e568f6e66cd27a06203f96d05dbbc8"
         "7bd06b23dc79b921dae741ce78cee948"),
+    "il-bounds-n2000": (
+        ["il-bounds", "--q", "2", "--m", "12", "--n", "2000", "--d", "151",
+         "--s", "4"],
+        "67181ea5be5cdcce726aa650414d825d"
+        "adb77bfc76b5a22e4fb325edc6369196"),
     "aad-build": (
         ["aad-build", "--n", "5", "--k", "2", "--q", "11"],
         "201960945d713bf871f333dff021ecdf"

@@ -1,7 +1,11 @@
 import itertools
 import random
 
+from hypothesis import given, strategies as st
+
 from skewcodes import gf, grscode, ilbounds, metric
+
+import oracles
 
 F4 = gf.field(2, 1, 2)
 F16 = gf.field(2, 2, 2)      # q = 4, m = 2
@@ -146,6 +150,31 @@ def test_b_mds_total_exhaustive_322():
     assert total == grscode.b_mds_total(n, d, 2, 2) == 60
     # every alternant code appears with multiplicity >= q^m - 1 = 3
     assert all(mult >= 3 for mult in kernels.values())
+
+
+def test_b_mds_total_matches_per_weight_sum():
+    # the vanishing-set sum against (q^m - 1)^n + sum_w b_mds on 3,360
+    # cases, many with n > q^m + 1 where no MDS code exists
+    cases = beyond = 0
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        for m in range(1, 5):
+            for n in range(1, 16):
+                for d in range(1, n + 1):
+                    assert (grscode.b_mds_total(n, d, q, m)
+                            == oracles.b_mds_total(n, d, q, m)), (n, d, q, m)
+                    cases += 1
+                    beyond += n > q ** m + 1
+    assert cases == 3360 and beyond > 0
+
+
+@given(st.integers(2, 300), st.integers(0, 40), st.integers(-2, 2))
+def test_log_floor_matches_scan(q, e, delta):
+    # x next to a power of q, where an off-by-one would show
+    x = max(1, q ** e + delta)
+    k = 0
+    while q ** (k + 1) <= x:
+        k += 1
+    assert ilbounds._log_floor(q, x) == k
 
 
 def _combine(base, msg, gen, n):

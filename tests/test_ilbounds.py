@@ -16,15 +16,6 @@ def test_kopt_basics():
     assert ilbounds.kopt(2, 10, 10) == 1
 
 
-def test_kopt_singleton_policy():
-    assert ilbounds.kopt(2, 7, 3, ilbounds.KOPT_SINGLETON) == 5
-    for n in range(2, 9):
-        for d in range(1, n + 1):
-            full = ilbounds.kopt(2, n, d)
-            single = ilbounds.kopt(2, n, d, ilbounds.KOPT_SINGLETON)
-            assert full <= single
-
-
 def test_griesmer_running_sum_matches_resummed():
     for q in (2, 3, 4, 5, 7, 256):
         for n in range(1, 41):
